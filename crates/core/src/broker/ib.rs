@@ -7,14 +7,14 @@
 //! tree wiring (children, per-child state) and the interest-version
 //! plumbing that makes subscription starts causally safe.
 
+use super::interest::ChildInterest;
 use super::{now_ticks, Broker};
 use crate::timer::{self, Kind};
-use gryphon_matching::{Filter, SubscriptionIndex};
 use gryphon_sim::{count_metric, names, observe_metric, trace_event, NodeCtx, TraceEvent};
 use gryphon_streams::push_coalesced;
 use gryphon_types::{
-    CuriosityMsg, KnowledgeMsg, KnowledgePart, NetMsg, NodeId, PubendId, ReleaseMsg,
-    SubInterestMsg, SubscriberId, SubscriptionSpec, Timestamp,
+    CuriosityMsg, InterestChange, KnowledgeMsg, KnowledgePart, NetMsg, NodeId, PubendId,
+    ReleaseMsg, SubInterestMsg, SubscriberId, SubscriptionSpec, Timestamp,
 };
 use std::collections::{BTreeMap, HashMap};
 
@@ -31,6 +31,12 @@ pub(crate) struct IbRole {
     /// [`gryphon_types::SubInterestMsg::version`]). Versions are virtual
     /// timestamps, so they stay monotone across restarts.
     pub(crate) my_interest_version: u64,
+    /// Set by a restart (or a boot with recovered subscriptions): the
+    /// parent may hold a set this broker can no longer derive deltas
+    /// from, so nothing is reported upward until every child has been
+    /// heard and a full set has gone up. (At an empty first boot both
+    /// sides start from version `0`, the empty set.)
+    pub(crate) resyncing_upward: bool,
     /// Highest interest version the parent has confirmed via knowledge
     /// stamps.
     pub(crate) upstream_confirmed: u64,
@@ -39,13 +45,9 @@ pub(crate) struct IbRole {
 /// Per-child subscription and interest-version state.
 #[derive(Default)]
 pub(crate) struct ChildState {
-    /// Aggregate subscription filter of the child's subtree (for D→S
-    /// downgrades); `None` until the first interest message arrives.
-    pub(crate) index: Option<SubscriptionIndex>,
-    /// The raw specs behind `index`, re-aggregated upstream.
-    pub(crate) specs: Vec<(SubscriberId, SubscriptionSpec)>,
-    /// Latest interest version received from the child.
-    pub(crate) version: u64,
+    /// The child's subtree subscription set (for D→S downgrades and the
+    /// upward aggregate) and its version.
+    pub(crate) interest: ChildInterest,
     /// Highest child interest version known to be causally upstream.
     pub(crate) confirmed: u64,
     /// Child interest versions awaiting upstream confirmation:
@@ -188,17 +190,18 @@ impl Broker {
         let mut scratch = std::mem::take(&mut self.match_scratch);
         let (out, stamp) = {
             let state = self.ib.child.get(&child);
-            // Until a child's interest is known (fresh boot / just
-            // restarted), forward unfiltered: over-delivery is safe,
-            // silent downgrades of a subscription's events are not.
-            let index = state.and_then(|c| c.index.as_ref());
+            // Until a child's interest is known exactly (fresh boot, just
+            // restarted, or a missed delta), forward unfiltered under
+            // stamp 0: over-delivery is safe, silent downgrades of a
+            // subscription's events are not.
+            let index = state.and_then(|c| c.interest.filter());
             // The stamp: for locally hosted pubends the child's interest
             // is applied the moment it arrives; for routed pubends it
             // must also be confirmed upstream (everything this broker
             // forwards was filtered up there too).
-            let stamp = match state {
-                Some(c) if hosted => c.version,
-                Some(c) => c.confirmed.min(c.version),
+            let stamp = match state.and_then(|c| c.interest.exact_version().map(|v| (c, v))) {
+                Some((_, v)) if hosted => v,
+                Some((c, v)) => c.confirmed.min(v),
                 None => 0,
             };
             let mut out: Vec<KnowledgePart> = Vec::with_capacity(parts.len());
@@ -234,6 +237,7 @@ impl Broker {
             // Flush any batched fresh knowledge for this (child, pubend)
             // first so the response never arrives under older knowledge
             // it was meant to follow.
+            self.flush_other_stamps(child, stamp, ctx);
             self.flush_child_pubend(child, p, ctx);
             note_ib_forward(p, &out, ctx);
             ctx.send(
@@ -272,15 +276,7 @@ impl Broker {
         stamp: u64,
         ctx: &mut dyn NodeCtx,
     ) {
-        let stamp_changed = self
-            .ib
-            .child
-            .get(&child)
-            .and_then(|c| c.batcher.pending.get(&p))
-            .is_some_and(|b| b.stamp != stamp);
-        if stamp_changed {
-            self.flush_child_pubend(child, p, ctx);
-        }
+        self.flush_other_stamps(child, stamp, ctx);
         let now = ctx.now_us();
         let max_parts = self.config.knowledge_batch_max_parts.max(1);
         let full = {
@@ -310,6 +306,32 @@ impl Broker {
                 self.config.knowledge_flush_interval_us,
                 timer::pack(Kind::KnowledgeFlush, self.epoch, 0, child.0),
             );
+        }
+    }
+
+    /// Flushes, in pubend order, every batch pending for `child` under a
+    /// stamp other than `stamp`, so all of a child's pending batches
+    /// share one stamp. Flushing only the same pubend's batch is not
+    /// enough: a newer stamp on one pubend's message may confirm a parked
+    /// connect whose start floors come from *every* pubend's high-water
+    /// mark, and another pubend's batch filtered under the older stamp
+    /// (without the new subscription) must not arrive after it.
+    fn flush_other_stamps(&mut self, child: NodeId, stamp: u64, ctx: &mut dyn NodeCtx) {
+        let stale: Vec<PubendId> = self
+            .ib
+            .child
+            .get(&child)
+            .map(|c| {
+                c.batcher
+                    .pending
+                    .iter()
+                    .filter(|(_, b)| b.stamp != stamp)
+                    .map(|(&p, _)| p)
+                    .collect()
+            })
+            .unwrap_or_default();
+        for p in stale {
+            self.flush_child_pubend(child, p, ctx);
         }
     }
 
@@ -590,31 +612,38 @@ impl Broker {
         if !self.ib.children.contains(&from) {
             return;
         }
-        let mut index = SubscriptionIndex::new();
-        for (sub, spec) in &msg.subs {
-            if let Ok(filter) = Filter::parse(spec.expr()) {
-                index.insert(*sub, filter);
-            }
-        }
         let v_child = msg.version;
-        {
-            let state = self.ib.child.entry(from).or_default();
-            state.index = Some(index);
-            state.specs = msg.subs;
-            state.version = state.version.max(v_child);
+        let plan = self.ib.child.entry(from).or_default().interest.plan(msg);
+        let reporting = self.parent.is_some() && !self.ib.resyncing_upward;
+        let before = if reporting {
+            self.aggregate_before(plan.touched())
+        } else {
+            Vec::new()
+        };
+        let state = self.ib.child.get_mut(&from).expect("created above");
+        if !state.interest.apply(plan) {
+            return;
         }
-        if self.parent.is_some() {
-            let v_up = self.bump_and_send_interest(ctx);
+        if self.parent.is_none() {
+            // Root: the interest is applied here and now.
+            state.confirmed = state.confirmed.max(v_child);
+        } else if reporting {
+            let v_up = self.report_interest_change(before, ctx);
             self.ib
                 .child
-                .entry(from)
-                .or_default()
+                .get_mut(&from)
+                .expect("created above")
                 .pending
                 .push((v_child, v_up));
+            // An unchanged aggregate leaves `v_up` at the current version,
+            // which the parent may have confirmed already; no later stamp
+            // increase would promote it then.
+            if v_up <= self.ib.upstream_confirmed {
+                self.promote_child_confirmations();
+            }
         } else {
-            // Root: the interest is applied here and now.
-            let state = self.ib.child.entry(from).or_default();
-            state.confirmed = state.confirmed.max(v_child);
+            // Restarted: this child may have been the last one unheard.
+            self.send_interest_refresh(ctx);
         }
     }
 
@@ -636,35 +665,128 @@ impl Broker {
         }
     }
 
-    /// Sends the current interest set upward under a fresh version.
-    /// Versions are virtual timestamps: monotone across crashes.
-    pub(crate) fn bump_and_send_interest(&mut self, ctx: &mut dyn NodeCtx) -> u64 {
+    /// The spec this broker reports upward for `sub`: the local SHB's
+    /// registration, else the first child (in attachment order) holding
+    /// it. Ids are normally unique to one subtree; the fixed precedence
+    /// keeps a reconnect-anywhere duplicate deterministic.
+    fn aggregate_spec(&self, sub: SubscriberId) -> Option<SubscriptionSpec> {
+        if let Some(spec) = self.shb.state.as_ref().and_then(|s| s.spec_of(sub)) {
+            return Some(spec.clone());
+        }
+        self.ib
+            .children
+            .iter()
+            .filter_map(|c| self.ib.child.get(c))
+            .find_map(|c| c.interest.spec(sub))
+            .cloned()
+    }
+
+    /// Each of `subs` with its current aggregate spec, taken before a
+    /// change for [`Self::report_interest_change`].
+    pub(crate) fn aggregate_before(
+        &self,
+        subs: impl IntoIterator<Item = SubscriberId>,
+    ) -> Vec<(SubscriberId, Option<SubscriptionSpec>)> {
+        subs.into_iter()
+            .map(|sub| (sub, self.aggregate_spec(sub)))
+            .collect()
+    }
+
+    /// Reports how the aggregate changed for the ids in `before` (each
+    /// with its spec before the change) as one delta chained on the
+    /// current version. Returns the version whose upstream confirmation
+    /// covers the change: the new one, or the current one when the
+    /// aggregate did not change or cannot be reported yet (restarted, so
+    /// the next full set carries it under a later version).
+    pub(crate) fn report_interest_change(
+        &mut self,
+        before: Vec<(SubscriberId, Option<SubscriptionSpec>)>,
+        ctx: &mut dyn NodeCtx,
+    ) -> u64 {
+        let (Some(parent), false) = (self.parent, self.ib.resyncing_upward) else {
+            return self.ib.my_interest_version;
+        };
+        let mut add = Vec::new();
+        let mut remove = Vec::new();
+        for (sub, old) in before {
+            match self.aggregate_spec(sub) {
+                Some(spec) if old.as_ref() != Some(&spec) => add.push((sub, spec)),
+                None if old.is_some() => remove.push(sub),
+                _ => {}
+            }
+        }
+        if add.is_empty() && remove.is_empty() {
+            return self.ib.my_interest_version;
+        }
+        let base = self.ib.my_interest_version;
+        let version = self.bump_interest_version(ctx);
+        let msg = SubInterestMsg {
+            version,
+            change: InterestChange::Delta { base, add, remove },
+        };
+        ctx.count(names::INTEREST_ENTRIES_SENT, msg.entries() as f64);
+        ctx.send(parent, NetMsg::SubInterest(msg));
+        version
+    }
+
+    /// Moves to a fresh interest version. Versions are virtual
+    /// timestamps: monotone across crashes.
+    pub(crate) fn bump_interest_version(&mut self, ctx: &mut dyn NodeCtx) -> u64 {
         self.ib.my_interest_version = (self.ib.my_interest_version + 1).max(ctx.now_us());
-        self.send_interest_upstream(ctx);
         self.ib.my_interest_version
     }
 
-    pub(crate) fn send_interest_upstream(&mut self, ctx: &mut dyn NodeCtx) {
+    /// Sends this broker's whole interest set upward under the current
+    /// version: the periodic refresh that resynchronizes a parent which
+    /// restarted or missed a delta (a no-op for a parent already holding
+    /// this version). A restarted broker sends nothing until it has
+    /// heard every child — a partial set would let the parent downgrade
+    /// events that subscriptions below still need, while the parent's
+    /// last set from before the crash still holds every subscription
+    /// confirmed then — and then sends its first full set under a fresh
+    /// version.
+    pub(crate) fn send_interest_refresh(&mut self, ctx: &mut dyn NodeCtx) {
         let Some(parent) = self.parent else {
             return;
         };
-        let mut subs: Vec<(SubscriberId, SubscriptionSpec)> = Vec::new();
-        // Sorted child order keeps the upstream message deterministic.
-        let mut child_ids: Vec<NodeId> = self.ib.child.keys().copied().collect();
-        child_ids.sort_by_key(|n| n.0);
-        for id in child_ids {
-            subs.extend(self.ib.child[&id].specs.iter().cloned());
+        if self.ib.resyncing_upward {
+            let all_heard = self
+                .ib
+                .children
+                .iter()
+                .all(|c| self.ib.child.get(c).is_some_and(|s| s.interest.heard()));
+            if !all_heard {
+                return;
+            }
+            let v_up = self.bump_interest_version(ctx);
+            self.ib.resyncing_upward = false;
+            // The full set carries every child's exact set upward.
+            for state in self.ib.child.values_mut() {
+                if let Some(v_child) = state.interest.exact_version() {
+                    state.pending.push((v_child, v_up));
+                }
+            }
         }
+        let msg = SubInterestMsg::full(self.ib.my_interest_version, self.aggregate_interest());
+        ctx.count(names::INTEREST_ENTRIES_SENT, msg.entries() as f64);
+        ctx.send(parent, NetMsg::SubInterest(msg));
+    }
+
+    /// This broker's whole upward set, ascending by id (precedence as in
+    /// [`Self::aggregate_spec`]).
+    fn aggregate_interest(&self) -> Vec<(SubscriberId, SubscriptionSpec)> {
+        let mut agg: BTreeMap<SubscriberId, &SubscriptionSpec> = BTreeMap::new();
         if let Some(shb) = &self.shb.state {
-            subs.extend(shb.interest());
+            agg.extend(shb.interest());
         }
-        ctx.send(
-            parent,
-            NetMsg::SubInterest(SubInterestMsg {
-                subs,
-                version: self.ib.my_interest_version,
-            }),
-        );
+        for state in self.ib.children.iter().filter_map(|c| self.ib.child.get(c)) {
+            for (sub, spec) in state.interest.specs() {
+                agg.entry(sub).or_insert(spec);
+            }
+        }
+        agg.into_iter()
+            .map(|(sub, spec)| (sub, spec.clone()))
+            .collect()
     }
 
     pub(crate) fn on_release_msg(&mut self, from: NodeId, msg: ReleaseMsg) {
@@ -777,8 +899,8 @@ impl Broker {
             }
         }
         // Periodic interest refresh keeps parents correct across their
-        // restarts (same version: content unchanged).
-        self.send_interest_upstream(ctx);
+        // restarts and lost deltas.
+        self.send_interest_refresh(ctx);
         self.expire_parked(ctx);
         ctx.set_timer(
             self.config.release_interval_us,
@@ -864,5 +986,77 @@ fn note_shb_ingest(p: PubendId, parts: &[KnowledgePart], ctx: &mut dyn NodeCtx) 
                 }
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Broker, BrokerConfig, SubscriberClient, SubscriberConfig};
+    use gryphon_sim::Sim;
+    use gryphon_storage::MemFactory;
+    use gryphon_types::{ClientMsg, NetMsg, PubendId, SubscriberId, SubscriptionSpec};
+
+    /// An unsubscribe is a content change: it moves the SHB to a fresh
+    /// interest version and reaches the PHB's per-child index through an
+    /// intermediate, well before any periodic refresh.
+    #[test]
+    fn unsubscribe_reaches_the_phb_child_index() {
+        let mut sim = Sim::new(7);
+        let config = BrokerConfig::default();
+        let phb = sim.add_typed_node(
+            "phb",
+            Broker::new(0, Box::new(MemFactory::new()), config.clone())
+                .hosting_pubends([PubendId(0)]),
+        );
+        let mid = sim.add_typed_node(
+            "mid",
+            Broker::new(1, Box::new(MemFactory::new()), config.clone()),
+        );
+        let shb = sim.add_typed_node(
+            "shb",
+            Broker::new(2, Box::new(MemFactory::new()), config.clone()).hosting_subscribers(),
+        );
+        sim.node(phb).add_child(mid.id());
+        sim.node(mid).set_parent(phb.id());
+        sim.node(mid).add_child(shb.id());
+        sim.node(shb).set_parent(mid.id());
+        sim.connect(phb.id(), mid.id(), 1_000);
+        sim.connect(mid.id(), shb.id(), 1_000);
+        let client = sim.add_typed_node(
+            "sub",
+            SubscriberClient::new(
+                SubscriberId(1),
+                shb.id(),
+                "class = 1",
+                SubscriberConfig::default(),
+            ),
+        );
+        sim.connect(client.id(), shb.id(), 500);
+        // Just past a refresh, so the next one is a full interval away.
+        let t = 3 * config.release_interval_us + 10_000;
+        sim.run_until(t);
+        let held = |sim: &Sim| {
+            let c = &sim.node_ref(phb).ib.child[&mid.id()];
+            (
+                c.interest.spec(SubscriberId(1)).cloned(),
+                c.interest.filter().map(|i| i.len()),
+            )
+        };
+        assert_eq!(
+            held(&sim),
+            (Some(SubscriptionSpec::new("class = 1")), Some(1))
+        );
+        let version = sim.node_ref(shb).ib.my_interest_version;
+        sim.inject(
+            t,
+            shb.id(),
+            client.id(),
+            NetMsg::Client(ClientMsg::Unsubscribe {
+                sub: SubscriberId(1),
+            }),
+        );
+        sim.run_until(t + 50_000);
+        assert!(sim.node_ref(shb).ib.my_interest_version > version);
+        assert_eq!(held(&sim), (None, Some(0)));
     }
 }

@@ -27,6 +27,7 @@
 //! everything for one pubend stays ordered (see `DESIGN.md`).
 
 mod ib;
+mod interest;
 mod phb;
 mod pipeline;
 mod pubend;
@@ -257,6 +258,20 @@ impl Broker {
 impl Node for Broker {
     fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
         self.boot(ctx);
+        // Parents apply a first delta onto version 0 as the empty set.
+        // Subscriptions recovered from storage make version 0 non-empty,
+        // so they go up first as a full set under a fresh version, as
+        // after a restart.
+        let recovered = self
+            .shb
+            .state
+            .as_ref()
+            .is_some_and(|s| s.interest().next().is_some());
+        if recovered {
+            self.ib.resyncing_upward = true;
+            self.bump_interest_version(ctx);
+            self.send_interest_refresh(ctx);
+        }
     }
 
     fn on_message(&mut self, from: NodeId, msg: NetMsg, ctx: &mut dyn NodeCtx) {
@@ -340,6 +355,11 @@ impl Node for Broker {
         self.pipelines.clear();
         self.ib.child.clear();
         self.ib.upstream_confirmed = 0;
+        // The parent may hold a set this broker can no longer derive
+        // deltas from; a fresh version keeps anything registered from now
+        // on from being confirmed by stamps under the old one.
+        self.ib.resyncing_upward = true;
+        self.bump_interest_version(ctx);
         self.shb.parked.clear();
         self.phb.log = None;
         self.shb.state = None;
@@ -363,7 +383,7 @@ impl Node for Broker {
             for (p, ld) in pubends {
                 self.resolve_for_constream(p, vec![(ld.next(), Timestamp::MAX)], ctx);
             }
-            self.send_interest_upstream(ctx);
         }
+        self.send_interest_refresh(ctx);
     }
 }

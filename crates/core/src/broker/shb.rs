@@ -393,11 +393,14 @@ impl Shb {
     }
 
     /// Current subscription set for upward interest aggregation.
-    pub fn interest(&self) -> Vec<(SubscriberId, SubscriptionSpec)> {
-        self.table
-            .iter()
-            .map(|(_, st)| (st.sub, st.spec.clone()))
-            .collect()
+    pub fn interest(&self) -> impl Iterator<Item = (SubscriberId, &SubscriptionSpec)> + '_ {
+        self.table.iter().map(|(_, st)| (st.sub, &st.spec))
+    }
+
+    /// The registered spec of `sub`, if any.
+    pub fn spec_of(&self, sub: SubscriberId) -> Option<&SubscriptionSpec> {
+        let slot = self.table.slot_of(sub)?;
+        self.table.get(slot).map(|st| &st.spec)
     }
 
     /// Edge lookup: the slab slot of `sub`, if registered.

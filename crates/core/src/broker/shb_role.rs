@@ -313,6 +313,7 @@ impl Broker {
                     // until the interest is confirmed causally upstream —
                     // otherwise the subscription's window could cover
                     // ticks that were filtered without it.
+                    let before = self.aggregate_before([sub]);
                     let registered = {
                         let shb = self.shb.state.as_mut().expect("checked");
                         shb.register_spec(sub, from, spec.as_ref(), broker_ct, auto_ack, ctx)
@@ -320,7 +321,7 @@ impl Broker {
                     if registered.is_err() {
                         return;
                     }
-                    let version = self.bump_and_send_interest(ctx);
+                    let version = self.report_interest_change(before, ctx);
                     self.shb.parked.push(ParkedConnect {
                         sub,
                         client: from,
@@ -333,6 +334,11 @@ impl Broker {
                         parked_at_us: ctx.now_us(),
                     });
                     ctx.count("shb.parked_connects", 1.0);
+                    // Already confirmed when the aggregate did not change
+                    // (another child below holds the same spec).
+                    if version <= self.ib.upstream_confirmed {
+                        self.complete_parked(ctx);
+                    }
                     return;
                 }
                 self.finish_connect(
@@ -346,9 +352,6 @@ impl Broker {
                     Some(anywhere),
                     ctx,
                 );
-                if is_new {
-                    self.send_interest_upstream(ctx);
-                }
             }
             ClientMsg::Ack { sub, ct } => {
                 let start_worker = {
@@ -383,8 +386,9 @@ impl Broker {
                 ctx.count("shb.disconnects", 1.0);
             }
             ClientMsg::Unsubscribe { sub } => {
+                let before = self.aggregate_before([sub]);
                 self.shb.state.as_mut().expect("checked").unsubscribe(sub);
-                self.send_interest_upstream(ctx);
+                self.report_interest_change(before, ctx);
             }
         }
     }

@@ -113,6 +113,8 @@ pub struct SubscriberClient {
     gaps: u64,
     order_violations: u64,
     received: Vec<Received>,
+    /// The start granted by each `ConnectOk` (kept with `cfg.collect`).
+    starts: Vec<CheckpointToken>,
     events_since_sample: u64,
     last_ts: std::collections::HashMap<PubendId, Timestamp>,
     /// Set at (re)connect when the resumption point lags the stream;
@@ -145,6 +147,7 @@ impl SubscriberClient {
             gaps: 0,
             order_violations: 0,
             received: Vec::new(),
+            starts: Vec::new(),
             events_since_sample: 0,
             last_ts: std::collections::HashMap::new(),
             catchup_since_us: None,
@@ -176,6 +179,13 @@ impl SubscriberClient {
     /// Collected deliveries (empty unless `cfg.collect`).
     pub fn received(&self) -> &[Received] {
         &self.received
+    }
+
+    /// The resumption point the broker granted on each connect, in order
+    /// (empty unless `cfg.collect`): the subscription's window on pubend
+    /// `p` starts after `start.get(p)`.
+    pub fn connect_starts(&self) -> &[CheckpointToken] {
+        &self.starts
     }
 
     /// The current client-side checkpoint token.
@@ -268,6 +278,9 @@ impl Node for SubscriberClient {
                 self.connected = true;
                 self.ever_connected = true;
                 self.ct.merge(&start);
+                if self.cfg.collect {
+                    self.starts.push(start.clone());
+                }
                 let now_ticks = ctx.now_us() / 1_000;
                 let mut lagging = false;
                 for (p, t) in start.iter() {

@@ -66,7 +66,7 @@
 //! let h = net.add_node("counter", Counter(0));
 //! let running = net.start();
 //! for _ in 0..10 {
-//!     running.inject(h.id(), NetMsg::SubInterest(SubInterestMsg { subs: vec![], version: 0 }));
+//!     running.inject(h.id(), NetMsg::SubInterest(SubInterestMsg::full(0, vec![])));
 //! }
 //! running.run_for(std::time::Duration::from_millis(50));
 //! let result = running.stop();
@@ -1184,10 +1184,7 @@ mod tests {
     }
 
     fn dummy() -> NetMsg {
-        NetMsg::SubInterest(SubInterestMsg {
-            subs: vec![],
-            version: 0,
-        })
+        NetMsg::SubInterest(SubInterestMsg::full(0, vec![]))
     }
 
     fn publish(p: u32) -> NetMsg {

@@ -89,10 +89,10 @@ mod tests {
     }
 
     fn interest() -> NetMsg {
-        NetMsg::SubInterest(SubInterestMsg {
-            subs: vec![(SubscriberId(1), SubscriptionSpec::new("class = 1"))],
-            version: 1,
-        })
+        NetMsg::SubInterest(SubInterestMsg::full(
+            1,
+            vec![(SubscriberId(1), SubscriptionSpec::new("class = 1"))],
+        ))
     }
 
     /// Generic driver usable against any engine — the shape harnesses

@@ -103,6 +103,10 @@ pub mod names {
     pub const IB_KNOWLEDGE_FLUSH_WAIT_US: &str = "ib.knowledge_flush_wait_us";
     /// Counter: batched knowledge messages flushed downstream.
     pub const IB_KNOWLEDGE_BATCHES: &str = "ib.knowledge_batches";
+    /// Counter: subscription entries (listed, added or removed) carried
+    /// by the interest messages brokers sent to their parents. Grows by
+    /// O(1) per subscription change plus the periodic full refresh.
+    pub const INTEREST_ENTRIES_SENT: &str = "broker.interest_entries_sent";
     /// Gauge: runtime queue depth. In the simulator this is the
     /// scheduler's outstanding-event count at each sample; in the
     /// threaded runtime each worker publishes its bounded-channel
@@ -268,6 +272,7 @@ pub mod names {
             IB_KNOWLEDGE_BATCH_PARTS,
             IB_KNOWLEDGE_FLUSH_WAIT_US,
             IB_KNOWLEDGE_BATCHES,
+            INTEREST_ENTRIES_SENT,
             TELEMETRY_QUEUE_DEPTH,
             TELEMETRY_WORKER_UTILIZATION,
             TELEMETRY_SERVICE_TIME_US,

@@ -1147,10 +1147,7 @@ mod tests {
     use gryphon_types::SubInterestMsg;
 
     fn dummy_msg() -> NetMsg {
-        NetMsg::SubInterest(SubInterestMsg {
-            subs: vec![],
-            version: 0,
-        })
+        NetMsg::SubInterest(SubInterestMsg::full(0, vec![]))
     }
 
     /// A message of the lossy kind (loss only applies to the self-healing

@@ -166,18 +166,64 @@ pub struct ReleaseMsg {
 /// Parents filter knowledge per child: a data tick matching no subscription
 /// in the child's subtree is forwarded as silence, preserving the paper's
 /// "filtering at intermediate nodes improves network utilization" property.
-/// The message carries the child's complete current set (replacement
-/// semantics), which keeps the protocol trivially idempotent.
+///
+/// Every content change of the sender's set gets a fresh `version`, so a
+/// version names exactly one set. The sender reports a change as a
+/// [`InterestChange::Delta`] chained on the previous version and resends
+/// the [`InterestChange::Full`] set periodically (and after a restart).
+/// The receiver applies a delta only on top of its stored `base`; any
+/// other delta leaves it not knowing the sender's set, and it forwards
+/// that child unfiltered until the next full set resynchronizes it. A
+/// full set under the version already stored is a no-op, so the periodic
+/// refresh costs the receiver nothing in steady state.
 #[derive(Debug, Clone)]
 pub struct SubInterestMsg {
-    /// All durable subscriptions in the sender's subtree.
-    pub subs: Vec<(SubscriberId, SubscriptionSpec)>,
-    /// Monotone version of the sender's interest set. The parent echoes
-    /// the version it filtered under on every [`KnowledgeMsg`], which is
-    /// how a subscriber-hosting broker learns when a *new* subscription's
-    /// filter is causally upstream (and thus where the subscription may
-    /// safely start).
+    /// Monotone version of the sender's interest set after this message.
+    /// The parent echoes the version it filtered under on every
+    /// [`KnowledgeMsg`], which is how a subscriber-hosting broker learns
+    /// when a *new* subscription's filter is causally upstream (and thus
+    /// where the subscription may safely start).
     pub version: u64,
+    /// What the message says about the set at `version`.
+    pub change: InterestChange,
+}
+
+impl SubInterestMsg {
+    /// A full-set report of `subs` under `version`.
+    pub fn full(version: u64, subs: Vec<(SubscriberId, SubscriptionSpec)>) -> Self {
+        SubInterestMsg {
+            version,
+            change: InterestChange::Full(subs),
+        }
+    }
+
+    /// Number of subscription entries (added, removed or listed) the
+    /// message carries.
+    pub fn entries(&self) -> usize {
+        match &self.change {
+            InterestChange::Full(subs) => subs.len(),
+            InterestChange::Delta { add, remove, .. } => add.len() + remove.len(),
+        }
+    }
+}
+
+/// The content of a [`SubInterestMsg`].
+#[derive(Debug, Clone)]
+pub enum InterestChange {
+    /// The sender's complete set, ascending by subscriber id.
+    Full(Vec<(SubscriberId, SubscriptionSpec)>),
+    /// The set at version `base`, with `add` inserted (new or changed
+    /// specs) and `remove` deleted. Version `0` is every sender's empty
+    /// set, so a sender's first change applies even at a parent that has
+    /// not heard from it before.
+    Delta {
+        /// The version this change applies on top of.
+        base: u64,
+        /// Subscriptions added or whose spec changed.
+        add: Vec<(SubscriberId, SubscriptionSpec)>,
+        /// Subscriptions no longer in the set.
+        remove: Vec<SubscriberId>,
+    },
 }
 
 /// Messages a client sends to the broker it attaches to.
@@ -330,11 +376,17 @@ impl NetMsg {
             NetMsg::Curiosity(c) => 16 + 16 * c.ranges.len(),
             NetMsg::Release(_) => 24,
             NetMsg::SubInterest(s) => {
-                16 + s
-                    .subs
-                    .iter()
-                    .map(|(_, spec)| 12 + spec.expr().len())
-                    .sum::<usize>()
+                let spec_bytes = |subs: &[(SubscriberId, SubscriptionSpec)]| {
+                    subs.iter()
+                        .map(|(_, spec)| 12 + spec.expr().len())
+                        .sum::<usize>()
+                };
+                16 + match &s.change {
+                    InterestChange::Full(subs) => spec_bytes(subs),
+                    InterestChange::Delta { add, remove, .. } => {
+                        8 + spec_bytes(add) + 8 * remove.len()
+                    }
+                }
             }
             NetMsg::Client(_) => 64,
             NetMsg::Server(ServerMsg::Deliver { msg, .. }) => match &msg.kind {
@@ -444,10 +496,7 @@ mod tests {
                 released: Timestamp(0),
                 latest_delivered: Timestamp(0),
             }),
-            NetMsg::SubInterest(SubInterestMsg {
-                subs: vec![],
-                version: 0,
-            }),
+            NetMsg::SubInterest(SubInterestMsg::full(0, vec![])),
             NetMsg::Client(ClientMsg::Disconnect {
                 sub: SubscriberId(0),
             }),
@@ -502,10 +551,7 @@ mod tests {
             );
         }
         let unscoped: Vec<NetMsg> = vec![
-            NetMsg::SubInterest(SubInterestMsg {
-                subs: vec![],
-                version: 0,
-            }),
+            NetMsg::SubInterest(SubInterestMsg::full(0, vec![])),
             NetMsg::Client(ClientMsg::Disconnect {
                 sub: SubscriberId(0),
             }),

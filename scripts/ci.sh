@@ -24,6 +24,13 @@ cargo test -q -p gryphon-storage --lib prop_tests
 cargo test -q -p gryphon-storage --test file_kill --test group_commit_speedup
 cargo test -q -p gryphon --test recovery_answer
 
+echo "== interest versioning =="
+# Subscription-start causality and incremental interest propagation
+# (delta chaining, restarted-IB unknown reports, multi-pubend batch
+# ordering, O(N) registration traffic). Lives in the core crate, which
+# the root `cargo test` above does not run.
+cargo test -q -p gryphon --test interest_versioning
+
 echo "== full stack with delivery ledger armed =="
 # Debug profile arms the exactly-once ledger (panic on violation), so a
 # duplicate or phantom delivery anywhere in these runs aborts the test.
