@@ -20,14 +20,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gryphon::broker::Shb;
 use gryphon::config::BrokerConfig;
-use gryphon_sim::{NodeCtx, TimerKey};
+use gryphon_sim::testing::RecordingCtx;
 use gryphon_storage::MemFactory;
 use gryphon_streams::KnowledgeStream;
 use gryphon_types::{
-    CheckpointToken, Event, NetMsg, NodeId, PubendId, SubscriberId, SubscriptionSpec, Timestamp,
+    CheckpointToken, Event, NodeId, PubendId, SubscriberId, SubscriptionSpec, Timestamp,
 };
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 
 const P: PubendId = PubendId(0);
@@ -36,36 +34,12 @@ const CLASSES: u64 = 16;
 /// Connected fraction receiving the steady-state traffic.
 const CONNECTED: u64 = 64;
 
-struct StubCtx {
-    sent: u64,
-    rng: SmallRng,
-}
-
-impl NodeCtx for StubCtx {
-    fn now_us(&self) -> u64 {
-        0
-    }
-    fn me(&self) -> NodeId {
-        NodeId(1)
-    }
-    fn send(&mut self, _to: NodeId, _msg: NetMsg) {
-        self.sent += 1;
-    }
-    fn set_timer(&mut self, _delay_us: u64, _key: TimerKey) {}
-    fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-    fn work(&mut self, _cost_us: u64) {}
-    fn record(&mut self, _series: &str, _value: f64) {}
-    fn count(&mut self, _counter: &str, _delta: f64) {}
-}
-
 fn connect_one(
     shb: &mut Shb,
     sub: SubscriberId,
     ct: Option<CheckpointToken>,
     config: &BrokerConfig,
-    ctx: &mut StubCtx,
+    ctx: &mut RecordingCtx,
 ) {
     shb.connect(
         sub,
@@ -93,10 +67,7 @@ fn bench_shb_scale(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(1));
     for &n in &[10_000u64, 100_000] {
         let config = BrokerConfig::default();
-        let mut ctx = StubCtx {
-            sent: 0,
-            rng: SmallRng::seed_from_u64(0),
-        };
+        let mut ctx = RecordingCtx::default();
         // Two filter families: the connected fraction subscribes to the
         // traffic classes; the idle mass subscribes to classes the
         // traffic never publishes. Idle subscribers therefore cost
@@ -140,12 +111,13 @@ fn bench_shb_scale(c: &mut Criterion) {
         let mut cache = KnowledgeStream::new();
         let mut tick = 0u64;
         let advance_tick =
-            |shb: &mut Shb, cache: &mut KnowledgeStream, tick: u64, ctx: &mut StubCtx| {
+            |shb: &mut Shb, cache: &mut KnowledgeStream, tick: u64, ctx: &mut RecordingCtx| {
                 let e = Event::builder(P)
                     .attr("class", (tick % CLASSES) as i64)
                     .build_ref(Timestamp(tick));
                 assert!(cache.set_data(e));
                 shb.constream_advance(P, cache, Timestamp(tick), &config, ctx);
+                ctx.sent.clear();
                 // Steady state trims the consumed prefix, exactly as the
                 // broker's cache window does — the stream stays O(window).
                 cache.advance_base(Timestamp(tick.saturating_sub(64)));
@@ -185,6 +157,8 @@ fn bench_shb_scale(c: &mut Criterion) {
             b.iter(|| {
                 shb.disconnect(storm_sub, 0);
                 connect_one(&mut shb, storm_sub, Some(ct.clone()), &config, &mut ctx);
+                ctx.sent.clear();
+                ctx.timers.clear();
                 // NB: not `parked_streams()` — that inspector is O(slab)
                 // and would drown the cycle under test.
                 std::hint::black_box(shb.catchup_streams())
@@ -198,7 +172,7 @@ fn bench_shb_scale(c: &mut Criterion) {
         // rebuilds the matching-index entry.
         let churn_base = CONNECTED + 200;
         let mut k = 0u64;
-        let churn_one = |shb: &mut Shb, k: u64, ctx: &mut StubCtx| {
+        let churn_one = |shb: &mut Shb, k: u64, ctx: &mut RecordingCtx| {
             let i = churn_base + (k % 1_000);
             let sub = SubscriberId(i + 1);
             shb.unsubscribe(sub);

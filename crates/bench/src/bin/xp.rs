@@ -1,10 +1,9 @@
 //! `xp` — regenerates the paper's tables and figures.
 //!
 //! ```text
-//! xp [--quick] [--csv DIR] [--trace] [--metrics-out DIR] [--prom-out DIR]
-//!    [--flight-dir DIR] [--telemetry-out DIR] [--sample-interval MS]
-//!    [--metrics-addr ADDR] [--bundle-out DIR] [--chrome-trace DIR]
-//!    [--seed-offset N] [--degrade] [--slow-sub] [--subs N] [--churn-pct P]
+//! xp [--quick] [--csv DIR] [--trace] [--sample-interval MS]
+//!    [--metrics-addr ADDR] [--bundle-out DIR] [--seed-offset N]
+//!    [--degrade] [--slow-sub] [--subs N] [--churn-pct P]
 //!    <experiment>|all|list
 //! xp doctor inspect BUNDLE [--exemplars]
 //! xp doctor check BUNDLE
@@ -19,34 +18,19 @@
 //!   files for plotting;
 //! * `--trace` prints the full structured trace ring after each report
 //!   (the report itself only shows the tail);
-//! * `--metrics-out DIR` writes each experiment's metrics snapshot as
-//!   `<id>.metrics.csv` and `<id>.metrics.json` (see DESIGN.md
-//!   "Observability" for the name registry);
-//! * `--prom-out DIR` writes each experiment's metrics snapshot as
-//!   `<id>.prom` in Prometheus text exposition format;
-//! * `--flight-dir DIR` arms the violation flight recorder: any watchdog
-//!   or delivery-ledger violation dumps a post-mortem file
-//!   (`postmortem-N.txt`) with the offending event's lineage, a metrics
-//!   snapshot, and the trace-ring tail (see DESIGN.md §12);
 //! * `--sample-interval MS` arms the windowed telemetry sampler on every
 //!   simulator at the given virtual-time interval (milliseconds; see
 //!   DESIGN.md §13) — reports then include a sparkline timeline section;
-//! * `--telemetry-out DIR` writes each experiment's telemetry timeline
-//!   as `<id>.telemetry.ndjson` and `<id>.telemetry.csv` (implies
-//!   `--sample-interval 500` unless one was given);
 //! * `--metrics-addr ADDR` serves the most recent experiment's
 //!   Prometheus snapshot live at `http://ADDR/metrics` (e.g.
 //!   `127.0.0.1:9090`) until xp exits;
 //! * `--bundle-out DIR` writes a complete self-describing run bundle per
 //!   experiment under `DIR/<id>/` (manifest, metrics, timeline, alerts,
 //!   Prometheus snapshot, report, flight recorder — DESIGN.md §14). It
-//!   subsumes the scattered `--*-out` flags, arms the sampler (500 ms
-//!   unless `--sample-interval` says otherwise) and the online health
-//!   engine, and points the flight recorder into the bundle;
-//! * `--chrome-trace DIR` writes each experiment's forensics streams as
-//!   `<id>.trace.json` in Chrome trace-event format — open it in
-//!   Perfetto or chrome://tracing (implies `--sample-interval 500`
-//!   unless one was given; see DESIGN.md §17);
+//!   arms the sampler (500 ms unless `--sample-interval` says
+//!   otherwise) and the online health engine, and points the flight
+//!   recorder into the bundle; `xp doctor export-trace` turns a bundle
+//!   into a Chrome/Perfetto trace (DESIGN.md §17);
 //! * `--seed-offset N` shifts every simulator seed by N (same workload,
 //!   different randomness — for A/B bundles fed to `xp doctor diff`);
 //! * `--degrade` deliberately worsens broker latency/batching config
@@ -68,12 +52,7 @@ fn main() {
     let mut quick = false;
     let mut trace = false;
     let mut csv_dir: Option<String> = None;
-    let mut metrics_dir: Option<String> = None;
-    let mut prom_dir: Option<String> = None;
-    let mut flight_dir: Option<String> = None;
-    let mut telemetry_dir: Option<String> = None;
     let mut bundle_dir: Option<String> = None;
-    let mut chrome_trace_dir: Option<String> = None;
     let mut sample_interval_ms: Option<u64> = None;
     let mut metrics_addr: Option<String> = None;
     let mut seed_offset: u64 = 0;
@@ -87,13 +66,6 @@ fn main() {
         match arg.as_str() {
             "--quick" | "-q" => quick = true,
             "--trace" => trace = true,
-            "--telemetry-out" => {
-                telemetry_dir = args.next();
-                if telemetry_dir.is_none() {
-                    eprintln!("--telemetry-out requires a directory argument");
-                    std::process::exit(2);
-                }
-            }
             "--sample-interval" => {
                 sample_interval_ms = args.next().and_then(|v| v.parse().ok());
                 if sample_interval_ms.is_none() {
@@ -115,38 +87,10 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-            "--metrics-out" => {
-                metrics_dir = args.next();
-                if metrics_dir.is_none() {
-                    eprintln!("--metrics-out requires a directory argument");
-                    std::process::exit(2);
-                }
-            }
-            "--prom-out" => {
-                prom_dir = args.next();
-                if prom_dir.is_none() {
-                    eprintln!("--prom-out requires a directory argument");
-                    std::process::exit(2);
-                }
-            }
-            "--flight-dir" => {
-                flight_dir = args.next();
-                if flight_dir.is_none() {
-                    eprintln!("--flight-dir requires a directory argument");
-                    std::process::exit(2);
-                }
-            }
             "--bundle-out" => {
                 bundle_dir = args.next();
                 if bundle_dir.is_none() {
                     eprintln!("--bundle-out requires a directory argument");
-                    std::process::exit(2);
-                }
-            }
-            "--chrome-trace" => {
-                chrome_trace_dir = args.next();
-                if chrome_trace_dir.is_none() {
-                    eprintln!("--chrome-trace requires a directory argument");
                     std::process::exit(2);
                 }
             }
@@ -175,10 +119,9 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: xp [--quick] [--csv DIR] [--trace] [--metrics-out DIR] \
-                     [--prom-out DIR] [--flight-dir DIR] [--bundle-out DIR] \
-                     [--chrome-trace DIR] [--seed-offset N] [--degrade] [--slow-sub] \
-                     [--subs N] [--churn-pct P] <experiment>|all|list\n\
+                    "usage: xp [--quick] [--csv DIR] [--trace] [--sample-interval MS] \
+                     [--metrics-addr ADDR] [--bundle-out DIR] [--seed-offset N] [--degrade] \
+                     [--slow-sub] [--subs N] [--churn-pct P] <experiment>|all|list\n\
                      \x20      xp doctor inspect BUNDLE [--exemplars] [--topk] [--json]\n\
                      \x20      xp doctor check BUNDLE\n\
                      \x20      xp doctor diff A B [--threshold-pct P] [--abs-floor-us US]\n\
@@ -192,24 +135,16 @@ fn main() {
     }
     if targets.is_empty() {
         eprintln!(
-            "usage: xp [--quick] [--csv DIR] [--trace] [--metrics-out DIR] [--prom-out DIR] \
-             [--flight-dir DIR] <experiment>|all|list"
+            "usage: xp [--quick] [--csv DIR] [--trace] [--bundle-out DIR] <experiment>|all|list"
         );
         print_catalog();
         std::process::exit(2);
     }
-    gryphon_harness::topology::set_default_flight_dir(
-        flight_dir.as_deref().map(std::path::PathBuf::from),
-    );
-    // --telemetry-out / --bundle-out without an explicit interval still
-    // need the sampler armed; 500 ms windows match the experiments'
-    // timescales. A bundle additionally arms the online health engine.
-    if (telemetry_dir.is_some() || bundle_dir.is_some() || chrome_trace_dir.is_some())
-        && sample_interval_ms.is_none()
-    {
-        sample_interval_ms = Some(500);
-    }
+    // --bundle-out without an explicit interval still needs the
+    // sampler armed; 500 ms windows match the experiments' timescales.
+    // A bundle additionally arms the online health engine.
     if bundle_dir.is_some() {
+        sample_interval_ms.get_or_insert(500);
         gryphon_harness::topology::set_default_health(true);
     }
     gryphon_harness::topology::set_default_seed_offset(seed_offset);
@@ -242,12 +177,7 @@ fn main() {
         quick,
         trace,
         csv_dir,
-        metrics_dir,
-        prom_dir,
-        telemetry_dir,
         bundle_dir,
-        chrome_trace_dir,
-        explicit_flight_dir: flight_dir.is_some(),
         seed_offset,
         degrade,
         sample_interval_ms,
@@ -270,12 +200,7 @@ struct Options {
     quick: bool,
     trace: bool,
     csv_dir: Option<String>,
-    metrics_dir: Option<String>,
-    prom_dir: Option<String>,
-    telemetry_dir: Option<String>,
     bundle_dir: Option<String>,
-    chrome_trace_dir: Option<String>,
-    explicit_flight_dir: bool,
     seed_offset: u64,
     degrade: bool,
     sample_interval_ms: Option<u64>,
@@ -304,13 +229,10 @@ fn write_file(dir: &str, name: &str, contents: &str) -> std::path::PathBuf {
 fn run_one(id: &str, opts: &Options) {
     let started = std::time::Instant::now();
     if let Some(root) = opts.bundle_dir.as_deref() {
-        // Flight-recorder post-mortems belong inside this run's bundle
-        // (unless the user pinned them elsewhere with --flight-dir).
-        if !opts.explicit_flight_dir {
-            gryphon_harness::topology::set_default_flight_dir(Some(
-                gryphon_harness::bundle::flight_dir(std::path::Path::new(root), id),
-            ));
-        }
+        // Flight-recorder post-mortems belong inside this run's bundle.
+        gryphon_harness::topology::set_default_flight_dir(Some(
+            gryphon_harness::bundle::flight_dir(std::path::Path::new(root), id),
+        ));
     }
     match gryphon_harness::run(id, opts.quick) {
         Ok(report) => {
@@ -332,59 +254,6 @@ fn run_one(id: &str, opts: &Options) {
                     let path = write_file(dir, &format!("{id}.csv"), &report.series_csv());
                     println!("[series written to {}]", path.display());
                 }
-            }
-            if let Some(dir) = opts.metrics_dir.as_deref() {
-                let csv = write_file(dir, &format!("{id}.metrics.csv"), &report.metrics_csv());
-                let json = write_file(dir, &format!("{id}.metrics.json"), &report.metrics_json());
-                println!(
-                    "[metrics written to {} and {}]",
-                    csv.display(),
-                    json.display()
-                );
-            }
-            if let Some(dir) = opts.prom_dir.as_deref() {
-                if let Some(prom) = report.prom.as_deref() {
-                    let path = write_file(dir, &format!("{id}.prom"), prom);
-                    println!("[prometheus snapshot written to {}]", path.display());
-                }
-            }
-            if let Some(dir) = opts.telemetry_dir.as_deref() {
-                if report.telemetry.is_some() {
-                    let nd = write_file(
-                        dir,
-                        &format!("{id}.telemetry.ndjson"),
-                        &report.telemetry_ndjson(),
-                    );
-                    let csv =
-                        write_file(dir, &format!("{id}.telemetry.csv"), &report.telemetry_csv());
-                    println!(
-                        "[telemetry written to {} and {}]",
-                        nd.display(),
-                        csv.display()
-                    );
-                }
-            }
-            if let Some(dir) = opts.chrome_trace_dir.as_deref() {
-                let (intervals, exemplars): (Vec<_>, Vec<_>) = report
-                    .telemetry
-                    .as_ref()
-                    .map(|t| {
-                        (
-                            t.intervals().copied().collect(),
-                            t.exemplars().cloned().collect(),
-                        )
-                    })
-                    .unwrap_or_default();
-                let json = gryphon_harness::trace_export::chrome_trace_json(
-                    &intervals,
-                    &exemplars,
-                    report.alerts(),
-                );
-                let path = write_file(dir, &format!("{id}.trace.json"), &json);
-                println!(
-                    "[chrome trace written to {} — open in https://ui.perfetto.dev]",
-                    path.display()
-                );
             }
             if let Some(root) = opts.bundle_dir.as_deref() {
                 let meta = gryphon_harness::bundle::BundleMeta {

@@ -3,89 +3,44 @@
 
 use super::shb::{CatchupNeeds, Shb};
 use crate::config::BrokerConfig;
-use gryphon_sim::{NodeCtx, TimerKey};
+use gryphon_sim::testing::RecordingCtx;
+use gryphon_sim::NodeCtx;
 use gryphon_storage::MemFactory;
 use gryphon_streams::KnowledgeStream;
 use gryphon_types::{
     CheckpointToken, DeliveryKind, Event, NetMsg, NodeId, PubendId, ServerMsg, SubscriberId,
     Timestamp,
 };
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 
-/// Captures everything a node does to the outside world.
-struct StubCtx {
-    now_us: u64,
-    sent: Vec<(NodeId, NetMsg)>,
-    timers: Vec<(u64, TimerKey)>,
-    rng: SmallRng,
-    busy: u64,
-}
-
-impl StubCtx {
-    fn new() -> Self {
-        StubCtx {
-            now_us: 0,
-            sent: Vec::new(),
-            timers: Vec::new(),
-            rng: SmallRng::seed_from_u64(0),
-            busy: 0,
-        }
-    }
-
-    /// Event deliveries sent to `client`, as `(pubend, kind, ts)`.
-    fn deliveries(&self, client: NodeId) -> Vec<(PubendId, &'static str, u64)> {
-        self.sent
-            .iter()
-            .filter_map(|(to, msg)| {
-                if *to != client {
-                    return None;
-                }
-                let NetMsg::Server(ServerMsg::Deliver { msg, .. }) = msg else {
-                    return None;
-                };
-                let kind = match msg.kind {
-                    DeliveryKind::Event(_) => "event",
-                    DeliveryKind::Silence(_) => "silence",
-                    DeliveryKind::Gap(_) => "gap",
-                };
-                Some((msg.pubend, kind, msg.ts().0))
-            })
-            .collect()
-    }
-}
-
-impl NodeCtx for StubCtx {
-    fn now_us(&self) -> u64 {
-        self.now_us
-    }
-    fn me(&self) -> NodeId {
-        NodeId(1)
-    }
-    fn send(&mut self, to: NodeId, msg: NetMsg) {
-        self.sent.push((to, msg));
-    }
-    fn set_timer(&mut self, delay_us: u64, key: TimerKey) {
-        self.timers.push((delay_us, key));
-    }
-    fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-    fn work(&mut self, cost_us: u64) {
-        self.busy += cost_us;
-    }
-    fn record(&mut self, _series: &str, _value: f64) {}
-    fn count(&mut self, _counter: &str, _delta: f64) {}
+/// Event deliveries `ctx` sent to `client`, as `(pubend, kind, ts)`.
+fn deliveries(ctx: &RecordingCtx, client: NodeId) -> Vec<(PubendId, &'static str, u64)> {
+    ctx.sent
+        .iter()
+        .filter_map(|(to, msg)| {
+            if *to != client {
+                return None;
+            }
+            let NetMsg::Server(ServerMsg::Deliver { msg, .. }) = msg else {
+                return None;
+            };
+            let kind = match msg.kind {
+                DeliveryKind::Event(_) => "event",
+                DeliveryKind::Silence(_) => "silence",
+                DeliveryKind::Gap(_) => "gap",
+            };
+            Some((msg.pubend, kind, msg.ts().0))
+        })
+        .collect()
 }
 
 const P: PubendId = PubendId(0);
 const CLIENT: NodeId = NodeId(9);
 
-fn fresh_shb() -> (Shb, BrokerConfig, StubCtx) {
+fn fresh_shb() -> (Shb, BrokerConfig, RecordingCtx) {
     let config = BrokerConfig::default();
     let shb = Shb::open(&MemFactory::new(), "t", &config);
-    (shb, config, StubCtx::new())
+    (shb, config, RecordingCtx::default())
 }
 
 /// Builds a fully known cache over `[1, upto]`: `D` at the given ticks,
@@ -105,7 +60,7 @@ fn cache_with(events: &[u64], upto: u64) -> (KnowledgeStream, Timestamp) {
 
 fn connect(
     shb: &mut Shb,
-    ctx: &mut StubCtx,
+    ctx: &mut RecordingCtx,
     sub: u64,
     ct: Option<CheckpointToken>,
     config: &BrokerConfig,
@@ -132,7 +87,7 @@ fn constream_delivers_matching_events_and_records_pfs() {
     let (cache, upto) = cache_with(&[5, 9], 12);
     let holes = shb.constream_advance(P, &cache, upto, &config, &mut ctx);
     assert!(holes.is_empty(), "fully known cache has no holes");
-    let got = ctx.deliveries(CLIENT);
+    let got = deliveries(&ctx, CLIENT);
     let events: Vec<u64> = got
         .iter()
         .filter(|(_, k, _)| *k == "event")
@@ -253,8 +208,7 @@ fn reconnect_with_checkpoint_creates_catchup_and_switches_over() {
     let needs = shb.catchup_progress(slot, P, &config, &mut ctx);
     assert!(needs.switched, "caught up to processed_to");
     assert_eq!(shb.catchup_streams(), 0);
-    let events: Vec<u64> = ctx
-        .deliveries(CLIENT)
+    let events: Vec<u64> = deliveries(&ctx, CLIENT)
         .into_iter()
         .filter(|(_, k, _)| *k == "event")
         .map(|(_, _, t)| t)
@@ -302,8 +256,7 @@ fn catchup_delivery_is_paced_by_acknowledgments() {
     let needs = shb.catchup_progress(slot, P, &config, &mut ctx);
     assert!(!needs.switched, "flow control must hold delivery back");
     // Nothing beyond acked(1) + window(10) was delivered.
-    let max_ts = ctx
-        .deliveries(CLIENT)
+    let max_ts = deliveries(&ctx, CLIENT)
         .into_iter()
         .map(|(_, _, t)| t)
         .max()
@@ -316,8 +269,7 @@ fn catchup_delivery_is_paced_by_acknowledgments() {
     );
     let needs = shb.catchup_progress(slot, P, &config, &mut ctx);
     assert!(needs.switched);
-    let events: Vec<u64> = ctx
-        .deliveries(CLIENT)
+    let events: Vec<u64> = deliveries(&ctx, CLIENT)
         .into_iter()
         .filter(|(_, k, _)| *k == "event")
         .map(|(_, _, t)| t)
@@ -344,8 +296,7 @@ fn gated_subscriber_serializes_on_commit_workers() {
     let (cache, upto) = cache_with(&[3, 5, 7], 10);
     shb.constream_advance(P, &cache, upto, &config, &mut ctx);
     // Only the first event may be in flight.
-    let events: Vec<u64> = ctx
-        .deliveries(CLIENT)
+    let events: Vec<u64> = deliveries(&ctx, CLIENT)
         .into_iter()
         .filter(|(_, k, _)| *k == "event")
         .map(|(_, _, t)| t)
@@ -361,8 +312,7 @@ fn gated_subscriber_serializes_on_commit_workers() {
     let dur = shb.ct_commit_start(w, &config).expect("commit batch");
     assert!(dur >= config.ct_commit_base_us);
     shb.ct_commit_done(w, &mut ctx);
-    let events: Vec<u64> = ctx
-        .deliveries(CLIENT)
+    let events: Vec<u64> = deliveries(&ctx, CLIENT)
         .into_iter()
         .filter(|(_, k, _)| *k == "event")
         .map(|(_, _, t)| t)
@@ -374,7 +324,7 @@ fn gated_subscriber_serializes_on_commit_workers() {
 fn post_restart_resumes_from_durable_cursor() {
     let factory = MemFactory::new();
     let config = BrokerConfig::default();
-    let mut ctx = StubCtx::new();
+    let mut ctx = RecordingCtx::default();
     {
         let mut shb = Shb::open(&factory, "t", &config);
         shb.connect(
@@ -494,10 +444,10 @@ fn client_silence_advances_idle_subscribers() {
     shb.constream_advance(P, &cache, Timestamp(100), &config, &mut ctx);
     ctx.sent.clear();
     shb.client_silence(&mut ctx);
-    let got = ctx.deliveries(CLIENT);
+    let got = deliveries(&ctx, CLIENT);
     assert_eq!(got, vec![(P, "silence", 100)]);
     // Idempotent until the cursor moves again.
     ctx.sent.clear();
     shb.client_silence(&mut ctx);
-    assert!(ctx.deliveries(CLIENT).is_empty());
+    assert!(deliveries(&ctx, CLIENT).is_empty());
 }

@@ -7,50 +7,16 @@
 use gryphon::broker::Shb;
 use gryphon::config::BrokerConfig;
 use gryphon_sim::sketch::{DIM_SUB_BYTES, DIM_SUB_LAG, DIM_SUB_NACKS};
-use gryphon_sim::{NodeCtx, TimerKey};
+use gryphon_sim::testing::RecordingCtx;
 use gryphon_storage::MemFactory;
-use gryphon_types::{NetMsg, NodeId, SubscriberId, SubscriptionSpec};
+use gryphon_types::{NodeId, SubscriberId, SubscriptionSpec};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 
-/// Captures `attribute` calls in arrival order; everything else is a
-/// sink.
-struct RecordingCtx {
-    now_us: u64,
-    rng: SmallRng,
-    attributed: Vec<(&'static str, u64, u64)>,
-}
-
-impl RecordingCtx {
-    fn at(now_us: u64) -> Self {
-        RecordingCtx {
-            now_us,
-            rng: SmallRng::seed_from_u64(0),
-            attributed: Vec::new(),
-        }
-    }
-}
-
-impl NodeCtx for RecordingCtx {
-    fn now_us(&self) -> u64 {
-        self.now_us
-    }
-    fn me(&self) -> NodeId {
-        NodeId(1)
-    }
-    fn send(&mut self, _to: NodeId, _msg: NetMsg) {}
-    fn set_timer(&mut self, _delay_us: u64, _key: TimerKey) {}
-    fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-    fn work(&mut self, _cost_us: u64) {}
-    fn record(&mut self, _series: &str, _value: f64) {}
-    fn count(&mut self, _counter: &str, _delta: f64) {}
-    fn attribute(&mut self, dim: &'static str, entity: u64, weight: u64) {
-        self.attributed.push((dim, entity, weight));
-    }
+fn ctx_at(now_us: u64) -> RecordingCtx {
+    let mut ctx = RecordingCtx::default();
+    ctx.now_us = now_us;
+    ctx
 }
 
 /// One subscriber's generated shape: liveness ∈ {idle, connected,
@@ -88,7 +54,7 @@ proptest! {
     fn sweep_matches_a_naive_slab_recount(shapes in shapes()) {
         let config = BrokerConfig::default();
         let mut shb = Shb::open(&MemFactory::new(), "prop", &config);
-        let mut ctx = RecordingCtx::at(1_000_000);
+        let mut ctx = ctx_at(1_000_000);
 
         // Build the population. Slot order is registration order, which
         // pins the attribution order the sweep must reproduce.
@@ -113,7 +79,7 @@ proptest! {
             st.stats.catchup_ticks = s.ticks;
         }
 
-        let mut ctx = RecordingCtx::at(5_000_000);
+        let mut ctx = ctx_at(5_000_000);
         let summary = shb.sweep_population(&mut ctx);
 
         // Naive recount of the same generated population.
@@ -146,7 +112,7 @@ proptest! {
 
         // The window drained: a second sweep sees the same population
         // but zero deltas.
-        let mut ctx2 = RecordingCtx::at(6_000_000);
+        let mut ctx2 = ctx_at(6_000_000);
         let again = shb.sweep_population(&mut ctx2);
         prop_assert_eq!(again.swept, summary.swept);
         prop_assert_eq!(again.connected, summary.connected);

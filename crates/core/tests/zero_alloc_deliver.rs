@@ -18,12 +18,10 @@
 
 use gryphon::broker::Shb;
 use gryphon::config::BrokerConfig;
-use gryphon_sim::{NodeCtx, TimerKey};
+use gryphon_sim::testing::RecordingCtx;
 use gryphon_storage::MemFactory;
 use gryphon_streams::KnowledgeStream;
-use gryphon_types::{Event, NetMsg, NodeId, PubendId, SubscriberId, Timestamp};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use gryphon_types::{Event, NodeId, PubendId, SubscriberId, Timestamp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,31 +54,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const P: PubendId = PubendId(0);
 const CLIENT: NodeId = NodeId(9);
 
-struct StubCtx {
-    sent: Vec<(NodeId, NetMsg)>,
-    rng: SmallRng,
-}
-
-impl NodeCtx for StubCtx {
-    fn now_us(&self) -> u64 {
-        0
-    }
-    fn me(&self) -> NodeId {
-        NodeId(1)
-    }
-    fn send(&mut self, to: NodeId, msg: NetMsg) {
-        self.sent.push((to, msg));
-    }
-    fn set_timer(&mut self, _delay_us: u64, _key: TimerKey) {}
-    fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-    fn work(&mut self, _cost_us: u64) {}
-    fn record(&mut self, _series: &str, _value: f64) {}
-    fn count(&mut self, _counter: &str, _delta: f64) {}
-}
-
-fn reconnect_all(shb: &mut Shb, subs: u64, config: &BrokerConfig, ctx: &mut StubCtx) {
+fn reconnect_all(shb: &mut Shb, subs: u64, config: &BrokerConfig, ctx: &mut RecordingCtx) {
     for i in 0..subs {
         shb.connect(
             SubscriberId(i + 1),
@@ -104,10 +78,7 @@ fn reconnect_all(shb: &mut Shb, subs: u64, config: &BrokerConfig, ctx: &mut Stub
 #[test]
 fn constream_deliver_allocates_nothing_after_warmup() {
     let config = BrokerConfig::default();
-    let mut ctx = StubCtx {
-        sent: Vec::new(),
-        rng: SmallRng::seed_from_u64(0),
-    };
+    let mut ctx = RecordingCtx::default();
     let mut shb = Shb::open(&MemFactory::new(), "t", &config);
     const SUBS: u64 = 48;
     const TICKS: u64 = 200;

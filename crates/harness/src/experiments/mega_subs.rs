@@ -31,9 +31,9 @@ use crate::report::{Report, Table};
 use crate::topology;
 use gryphon::broker::Shb;
 use gryphon::config::BrokerConfig;
-use gryphon_sim::sketch::{PopulationSketch, SketchConfig, DIM_SUB_BYTES, DIM_SUB_LAG};
-use gryphon_sim::telemetry::Sampler;
-use gryphon_sim::{default_rules, names, AlertState, HealthEngine, Metrics, NodeCtx, TimerKey};
+use gryphon_sim::sketch::{SketchConfig, DIM_SUB_LAG};
+use gryphon_sim::telemetry::{Observer, WindowInput};
+use gryphon_sim::{default_rules, AlertState, HealthEngine, Metrics, NodeCtx, TimerKey};
 use gryphon_storage::MemFactory;
 use gryphon_streams::KnowledgeStream;
 use gryphon_types::{
@@ -69,9 +69,10 @@ struct DriveCtx {
     now_us: u64,
     metrics: Metrics,
     rng: SmallRng,
-    /// Population sketch fed by [`Shb::sweep_population`] through the
-    /// `attribute` hook and drained at each census (DESIGN.md §18).
-    sketch: PopulationSketch,
+    /// Per-window observer; its population sketch is fed by
+    /// [`Shb::sweep_population`] through the `attribute` hook and
+    /// drained at each census (DESIGN.md §18).
+    observer: Observer,
 }
 
 impl NodeCtx for DriveCtx {
@@ -101,7 +102,9 @@ impl NodeCtx for DriveCtx {
         self.metrics.set_gauge(name, value);
     }
     fn attribute(&mut self, dim: &'static str, entity: u64, weight: u64) {
-        self.sketch.attribute(dim, entity, weight);
+        if let Some(sketch) = self.observer.sketch_mut() {
+            sketch.attribute(dim, entity, weight);
+        }
     }
 }
 
@@ -133,56 +136,18 @@ fn connect_one(
 
 /// One census row: phase label, wall time, and the slab statistics the
 /// phase left behind.
-fn census(
-    table: &mut Table,
-    phase: &str,
-    wall_ms: f64,
-    shb: &mut Shb,
-    ctx: &mut DriveCtx,
-    sampler: &mut Sampler,
-    health: Option<&mut HealthEngine>,
-) -> f64 {
-    // Publish through the broker's own gauge path, then sample the
+fn census(table: &mut Table, phase: &str, wall_ms: f64, shb: &mut Shb, ctx: &mut DriveCtx) -> f64 {
+    // Publish through the broker's own gauge path, then close the
     // timeline window — the bundle carries exactly what a live broker
     // would publish on its meta-persist timer. The population sweep
     // runs first (the live broker runs it on the same timer), so the
-    // window's sample carries the per-entity attribution it produced,
-    // in the same drain→gauges→sample→alerts→topk order as the
-    // simulator's sampler loop.
+    // window carries the per-entity attribution it produced.
     ctx.now_us += 500_000;
     shb.sweep_population(ctx);
     shb.update_telemetry_gauges(ctx);
     shb.update_memory_gauges(ctx);
-    let (snaps, stats) = ctx.sketch.drain(ctx.now_us);
-    if let Some(stats) = stats {
-        ctx.metrics
-            .set_gauge(names::SKETCH_LAG_POPULATION, stats.population as f64);
-        ctx.metrics
-            .set_gauge(names::SKETCH_LAG_P50_US, stats.p50_us as f64);
-        ctx.metrics
-            .set_gauge(names::SKETCH_LAG_P99_US, stats.p99_us as f64);
-        ctx.metrics
-            .set_gauge(names::SKETCH_LAG_MAX_US, stats.max_us as f64);
-        ctx.metrics.set_gauge(names::SKETCH_LAG_SKEW, stats.skew());
-    }
-    if let Some(bytes) = snaps.iter().find(|s| s.dim == DIM_SUB_BYTES) {
-        ctx.metrics
-            .set_gauge(names::SKETCH_DOMINANCE_SHARE, bytes.alarm_share());
-    }
-    sampler.sample(ctx.now_us, &ctx.metrics);
-    if let Some(engine) = health {
-        for mut alert in engine.evaluate(ctx.now_us, sampler.timeline()) {
-            gryphon_sim::sketch::name_culprit(&mut alert.detail, &alert.series, &snaps);
-            if alert.state == AlertState::Firing {
-                ctx.metrics
-                    .count(&format!("health.alert.{}", alert.rule), 1.0);
-            }
-            sampler.timeline_mut().push_alert(alert);
-        }
-    }
-    for snap in snaps {
-        sampler.timeline_mut().push_topk(snap);
-    }
+    ctx.observer
+        .window(ctx.now_us, &mut ctx.metrics, WindowInput::default());
     let bytes = shb.slab_bytes();
     let idle = shb.idle_subs().max(1);
     let per_idle = bytes as f64 / idle as f64;
@@ -215,14 +180,10 @@ pub fn run(quick: bool) -> Report {
         now_us: 0,
         metrics: Metrics::default(),
         rng: SmallRng::seed_from_u64(7),
-        sketch: PopulationSketch::new(SketchConfig::default()),
+        observer: Observer::new(500_000),
     };
+    ctx.observer.arm_sketch(SketchConfig::default());
     let slow_sub_mode = topology::default_slow_sub();
-    // The health engine arms only for the slow-sub drill: the storm
-    // phase legitimately opens short-lived catchup streams whose lag
-    // would read as skew, and the drill is about the planted laggard.
-    let mut health = slow_sub_mode.then(|| HealthEngine::new(default_rules()));
-    let mut sampler = Sampler::new(500_000);
     let mut shb = Shb::open(&MemFactory::new(), "mega", &config);
     let mut t = Table::new(
         format!(
@@ -255,15 +216,7 @@ pub fn run(quick: bool) -> Report {
         .expect("register");
     }
     let register_ms = start.elapsed().as_secs_f64() * 1e3;
-    let idle_bytes = census(
-        &mut t,
-        "register",
-        register_ms,
-        &mut shb,
-        &mut ctx,
-        &mut sampler,
-        None,
-    );
+    let idle_bytes = census(&mut t, "register", register_ms, &mut shb, &mut ctx);
 
     // Phase 2: a small fraction connects and traffic flows through the
     // constream. Each tick's event matches `connected / classes` of the
@@ -288,15 +241,7 @@ pub fn run(quick: bool) -> Report {
         "traffic must reach every connected matching subscriber"
     );
     let traffic_ms = start.elapsed().as_secs_f64() * 1e3;
-    census(
-        &mut t,
-        "traffic",
-        traffic_ms,
-        &mut shb,
-        &mut ctx,
-        &mut sampler,
-        None,
-    );
+    census(&mut t, "traffic", traffic_ms, &mut shb, &mut ctx);
 
     // Phase 3: churn — unsubscribe + re-register recycles slab slots
     // (generation bumps keep stale handles dead). Drawn from the idle
@@ -325,15 +270,7 @@ pub fn run(quick: bool) -> Report {
         spec.subs,
         "churn preserves the population"
     );
-    census(
-        &mut t,
-        "churn",
-        churn_ms,
-        &mut shb,
-        &mut ctx,
-        &mut sampler,
-        None,
-    );
+    census(&mut t, "churn", churn_ms, &mut shb, &mut ctx);
 
     // Phase 4: reconnect storm. A batch of idle subscribers presents an
     // old checkpoint, so each connect opens a PFS catchup stream; the
@@ -374,15 +311,7 @@ pub fn run(quick: bool) -> Report {
         0,
         "reconnects drain the parked records"
     );
-    census(
-        &mut t,
-        "storm",
-        storm_ms,
-        &mut shb,
-        &mut ctx,
-        &mut sampler,
-        None,
-    );
+    census(&mut t, "storm", storm_ms, &mut shb, &mut ctx);
 
     // Phase 5 (only under `--slow-sub`): plant one slow consumer and
     // prove the attribution path names it. The connected cohort
@@ -396,6 +325,11 @@ pub fn run(quick: bool) -> Report {
     let mut slow_note = None;
     if slow_sub_mode {
         const KEEP: u64 = 16;
+        // The health engine arms only for the drill: the storm phase
+        // legitimately opens short-lived catchup streams whose lag
+        // would read as skew, and the drill is about the planted
+        // laggard.
+        ctx.observer.arm_health(HealthEngine::new(default_rules()));
         let start = Instant::now();
         for i in KEEP..spec.connected {
             shb.disconnect(SubscriberId(i + 1), ctx.now_us);
@@ -406,17 +340,10 @@ pub fn run(quick: bool) -> Report {
         let slow = SubscriberId(spec.subs);
         connect_one(&mut shb, slow, storm_ct(), &config, &mut ctx);
         let slow_ms = start.elapsed().as_secs_f64() * 1e3;
-        census(
-            &mut t,
-            "slow-sub",
-            slow_ms,
-            &mut shb,
-            &mut ctx,
-            &mut sampler,
-            health.as_mut(),
-        );
+        census(&mut t, "slow-sub", slow_ms, &mut shb, &mut ctx);
         let (leader_entity, lag_us) = {
-            let lag_top = sampler
+            let lag_top = ctx
+                .observer
                 .timeline()
                 .topks()
                 .filter(|s| s.dim == DIM_SUB_LAG)
@@ -436,17 +363,9 @@ pub fn run(quick: bool) -> Report {
         // quiet, and the alert fires here.
         let start = Instant::now();
         let hold_ms = start.elapsed().as_secs_f64() * 1e3;
-        census(
-            &mut t,
-            "slow-hold",
-            hold_ms,
-            &mut shb,
-            &mut ctx,
-            &mut sampler,
-            health.as_mut(),
-        );
+        census(&mut t, "slow-hold", hold_ms, &mut shb, &mut ctx);
         assert!(
-            sampler
+            ctx.observer
                 .timeline()
                 .alerts()
                 .iter()
@@ -460,17 +379,9 @@ pub fn run(quick: bool) -> Report {
         shb.disconnect(slow, ctx.now_us);
         connect_one(&mut shb, slow, None, &config, &mut ctx);
         let recover_ms = start.elapsed().as_secs_f64() * 1e3;
-        census(
-            &mut t,
-            "recovered",
-            recover_ms,
-            &mut shb,
-            &mut ctx,
-            &mut sampler,
-            health.as_mut(),
-        );
+        census(&mut t, "recovered", recover_ms, &mut shb, &mut ctx);
         assert!(
-            sampler
+            ctx.observer
                 .timeline()
                 .alerts()
                 .iter()
@@ -487,7 +398,11 @@ pub fn run(quick: bool) -> Report {
     // The attribution layer's memory is O(K) per dimension no matter
     // how large the population is — the acceptance bound for running
     // this sketch at 10^6 subscribers.
-    let sketch_bytes = ctx.sketch.approx_heap_bytes();
+    let sketch_bytes = ctx
+        .observer
+        .sketch_mut()
+        .expect("sketch armed at start")
+        .approx_heap_bytes();
     assert!(
         sketch_bytes <= 4 * 1024,
         "population sketch must stay O(K): {sketch_bytes} B for {} subs",
@@ -522,6 +437,6 @@ pub fn run(quick: bool) -> Report {
         report.note(n);
     }
     report.attach_metrics(&ctx.metrics);
-    report.attach_telemetry(sampler.into_timeline());
+    report.attach_telemetry(ctx.observer.into_timeline());
     report
 }

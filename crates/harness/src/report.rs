@@ -187,7 +187,7 @@ pub struct Report {
     /// [`Report::attach_metrics`]).
     pub metrics: Option<MetricsSection>,
     /// Prometheus text-format rendering of the same metrics snapshot
-    /// (the `xp --prom-out` export; set by [`Report::attach_metrics`]).
+    /// (a bundle's `snapshot.prom`; set by [`Report::attach_metrics`]).
     pub prom: Option<String>,
     /// Rendered trace lines (attach with [`Report::attach_trace`]).
     pub trace: Vec<String>,

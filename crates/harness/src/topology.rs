@@ -20,8 +20,8 @@ fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// Process-wide flight-recorder directory applied to every [`Sim`] built
-/// by [`System::build`] — the `xp --flight-dir` plumbing. `None` (the
-/// default) disables post-mortem dumps.
+/// by [`System::build`] — `xp --bundle-out` points it into each bundle.
+/// `None` (the default) disables post-mortem dumps.
 static DEFAULT_FLIGHT_DIR: Mutex<Option<std::path::PathBuf>> = Mutex::new(None);
 
 /// Sets the flight-recorder directory future [`System::build`] calls
@@ -146,8 +146,8 @@ pub fn default_health() -> bool {
 /// directory, telemetry sampling interval, health engine) to a freshly
 /// built [`Sim`]. [`System::build`] calls this; experiments that
 /// assemble a raw `Sim` themselves (latency, jms) call it too so `xp
-/// --flight-dir` / `--sample-interval` / `--bundle-out` cover every
-/// simulator a run builds.
+/// --sample-interval` / `--bundle-out` cover every simulator a run
+/// builds.
 pub fn apply_sim_defaults(sim: &mut Sim) {
     sim.set_flight_dir(lock_recover(&DEFAULT_FLIGHT_DIR).clone());
     if let Some(interval_us) = default_sample_interval() {
@@ -457,7 +457,7 @@ impl System {
         let dumps = self.sim.flight_dumps();
         if dumps > 0 {
             report.note(format!(
-                "FLIGHT RECORDER: {dumps} post-mortem file(s) written — see the --flight-dir directory"
+                "FLIGHT RECORDER: {dumps} post-mortem file(s) written — see the flight directory"
             ));
         }
     }

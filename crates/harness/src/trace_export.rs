@@ -1,8 +1,8 @@
 //! Chrome/Perfetto trace-event export for run bundles (DESIGN.md §17).
 //!
-//! `xp doctor export-trace BUNDLE -o trace.json` (and `xp
-//! --chrome-trace`) turn a run's forensics streams into the [trace
-//! event format] both `chrome://tracing` and [Perfetto] open directly:
+//! `xp doctor export-trace BUNDLE -o trace.json` turns a run's
+//! forensics streams into the [trace event format] both
+//! `chrome://tracing` and [Perfetto] open directly:
 //!
 //! * each contention-profiler busy interval becomes a complete (`X`)
 //!   slice on its worker's thread track (`tid` = track id, named via

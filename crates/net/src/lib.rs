@@ -36,14 +36,17 @@
 //!
 //! # Telemetry
 //!
-//! [`RunningNet::start_sampler`] arms the wall-clock twin of the
-//! simulator's windowed [`Sampler`]: a background thread probes each
-//! worker's channel occupancy (`telemetry.queue_depth.w<i>`) and
-//! busy/idle utilization (`telemetry.worker_utilization.w<i>`) every
-//! interval and records them — plus all protocol gauges and counter
-//! rates — into a [`Timeline`] returned via [`RunningNet::telemetry`]
-//! and [`NetResult::telemetry`]. Arming telemetry also turns on
-//! per-dispatch service-time histograms (`telemetry.service_time_us`).
+//! [`RunningNet::start_sampler`] drives the same per-window
+//! [`Observer`] as the simulator from a wall-clock thread: each window
+//! probes every worker's channel occupancy (`telemetry.queue_depth.w<i>`)
+//! and busy/idle utilization (`telemetry.worker_utilization.w<i>`),
+//! drains the workers' sketch shards and interval rings in
+//! worker-index order, and samples all protocol gauges and counter
+//! rates into a [`Timeline`] judged by the default health rules,
+//! returned via [`RunningNet::telemetry`] and [`NetResult::telemetry`].
+//! [`RunningNet::stop`] closes the last window. Arming telemetry also
+//! turns on per-dispatch service-time histograms
+//! (`telemetry.service_time_us`).
 //! [`RunningNet::serve_metrics`] exposes the same merged snapshot live
 //! as Prometheus text over a tiny blocking-TCP endpoint, and
 //! [`RunningNet::metrics_snapshot`] gives programmatic mid-run access
@@ -75,11 +78,10 @@
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use gryphon_sim::forensics::{self, BusyInterval, Exemplar, ExemplarReservoir, IntervalRing};
-use gryphon_sim::sketch::DIM_SUB_BYTES;
-use gryphon_sim::telemetry::{Sampler, TextServer, Timeline};
+use gryphon_sim::telemetry::{Observer, TextServer, Timeline, WindowInput};
 use gryphon_sim::{
-    names, Executor, ForensicsConfig, Lineage, Metrics, Node, NodeCtx, PopulationSketch,
-    SketchConfig, TimerKey, TraceEvent, TraceRecord, Watchdogs,
+    names, ForensicsConfig, Lineage, Metrics, Node, NodeCtx, PopulationSketch, SketchConfig,
+    TimerKey, TraceEvent, TraceRecord, Watchdogs,
 };
 use gryphon_types::{NetMsg, NodeId};
 use parking_lot::Mutex;
@@ -327,10 +329,9 @@ impl NetBuilder {
             })
             .collect();
         // Always-on population attribution: one O(K) sketch shard per
-        // worker (same discipline as the lineage exemplar reservoirs),
-        // merged in worker-index order at stop. Attributions arrive at
-        // sweep cadence, not per delivery, so each shard's lock is
-        // uncontended in steady state.
+        // worker, merged in worker-index order by each observer window.
+        // Attributions arrive at sweep cadence, not per delivery, so
+        // each shard's lock is uncontended in steady state.
         let sketches: Vec<Arc<Mutex<PopulationSketch>>> = (0..n)
             .map(|_| Arc::new(Mutex::new(PopulationSketch::new(SketchConfig::default()))))
             .collect();
@@ -421,16 +422,18 @@ impl NetBuilder {
             router,
             stop,
             joins,
-            metrics,
             lineages,
             logical,
             epoch,
-            receivers: probe_receivers,
             tel_enabled,
-            active_ns,
-            intervals,
-            sketches,
-            tel_metrics: Arc::new(Mutex::new(Metrics::default())),
+            shards: Shards {
+                metrics,
+                tel_metrics: Arc::new(Mutex::new(Metrics::default())),
+                receivers: probe_receivers,
+                active_ns,
+                intervals,
+                sketches,
+            },
             sampler: None,
             scrape: None,
         }
@@ -480,11 +483,11 @@ struct Worker {
     /// busy/idle utilization from its deltas).
     active_ns: Arc<AtomicU64>,
     /// Bounded per-worker busy-interval ring (dispatch/queue slices for
-    /// the exported trace); drained at [`RunningNet::stop`].
+    /// the exported trace); drained by every observer window.
     intervals: Arc<Mutex<IntervalRing>>,
     /// This worker's population-sketch shard (O(K) memory), fed by
-    /// [`NodeCtx::attribute`] and merged in worker-index order at
-    /// [`RunningNet::stop`].
+    /// [`NodeCtx::attribute`] and merged in worker-index order by every
+    /// observer window.
     sketch: Arc<Mutex<PopulationSketch>>,
 }
 
@@ -665,9 +668,145 @@ impl NodeCtx for ThreadCtx<'_> {
 struct SamplerHandle {
     /// Shared with the sampler thread; [`RunningNet::telemetry`] and
     /// [`RunningNet::stop`] read the timeline out of it.
-    sampler: Arc<Mutex<Sampler>>,
+    observer: Arc<Mutex<Observer>>,
     stop: Arc<AtomicBool>,
-    join: std::thread::JoinHandle<()>,
+    /// Yields the thread's window clock, which the final window at
+    /// [`RunningNet::stop`] continues.
+    join: std::thread::JoinHandle<WindowClock>,
+}
+
+/// Where the last wall-clock window closed: the instant and each
+/// worker's cumulative busy nanoseconds, from which the next window
+/// derives per-worker utilization.
+struct WindowClock {
+    wall: Instant,
+    active_ns: Vec<u64>,
+}
+
+/// Every per-worker observation shard plus the sampler-owned one —
+/// what a snapshot merges and what a window drains.
+#[derive(Clone)]
+struct Shards {
+    /// Worker metric shards (each uncontended in steady state).
+    metrics: Vec<Arc<Mutex<Metrics>>>,
+    /// Runtime-health gauges and observer output (queue depth, worker
+    /// utilization, sketch gauges, alert and drop counters) — a
+    /// separate shard so the sampler never writes into a worker's
+    /// private metrics.
+    tel_metrics: Arc<Mutex<Metrics>>,
+    /// Receiver clones kept solely for occupancy probes (`len()`).
+    receivers: Vec<Receiver<Ev>>,
+    /// Wall-clock nanoseconds each worker spent inside node callbacks.
+    active_ns: Vec<Arc<AtomicU64>>,
+    /// Per-worker forensics interval rings.
+    intervals: Vec<Arc<Mutex<IntervalRing>>>,
+    /// Per-worker population-sketch shards.
+    sketches: Vec<Arc<Mutex<PopulationSketch>>>,
+}
+
+impl Shards {
+    /// Merges the metric shards into one consistent snapshot.
+    ///
+    /// Mid-run merge semantics (the live `/metrics` endpoint and
+    /// [`RunningNet::metrics_snapshot`] both use this, so a scrape never
+    /// sees half-merged values):
+    ///
+    /// * shards are merged **in worker-index order**, same as the final
+    ///   [`RunningNet::stop`] merge — counters and histograms sum, series
+    ///   concatenate, same-named gauges add;
+    /// * each shard's lock is held only while that shard is copied, so a
+    ///   snapshot is per-shard-atomic: it never tears an individual
+    ///   counter, but shards are copied at slightly different instants
+    ///   (unavoidable without a stop-the-world pause, and fine for
+    ///   monotone counters);
+    /// * the telemetry shard (`tel_metrics`) merges **last**, and the
+    ///   momentary queue-depth gauges are re-probed and overwritten after
+    ///   the merge, so gauges reflect "now", not the sampler's last window.
+    fn snapshot(&self) -> Metrics {
+        let mut merged = self.merged_workers();
+        merged.merge(&self.tel_metrics.lock());
+        self.probe_queue_depth(&mut merged);
+        merged
+    }
+
+    /// The worker metric shards merged in worker-index order.
+    fn merged_workers(&self) -> Metrics {
+        let mut merged = Metrics::default();
+        for m in &self.metrics {
+            merged.merge(&m.lock());
+        }
+        merged
+    }
+
+    /// Sets each worker's channel occupancy (`telemetry.queue_depth.w<i>`)
+    /// and their total. `set_gauge`, not merge-add, so the total
+    /// overwrites whatever stale sum a shard merge produced.
+    fn probe_queue_depth(&self, metrics: &mut Metrics) {
+        let mut total = 0usize;
+        for (i, rx) in self.receivers.iter().enumerate() {
+            let depth = rx.len();
+            total += depth;
+            metrics.set_gauge(
+                &format!("{}.w{i}", names::TELEMETRY_QUEUE_DEPTH),
+                depth as f64,
+            );
+        }
+        metrics.set_gauge(names::TELEMETRY_QUEUE_DEPTH, total as f64);
+    }
+
+    /// Closes one observer window at `t_us`: drains every worker's
+    /// sketch shard and interval ring in worker-index order, probes
+    /// queue depth and per-worker utilization since `clock`, and runs
+    /// [`Observer::window`] over the merged worker metrics with the
+    /// sampler-owned shard as the observer's registry. `exemplars` are
+    /// handed over only by the final window at [`RunningNet::stop`].
+    fn window(
+        &self,
+        observer: &Mutex<Observer>,
+        clock: &mut WindowClock,
+        t_us: u64,
+        exemplars: Vec<Exemplar>,
+        exemplars_dropped: u64,
+    ) {
+        let now = Instant::now();
+        let window_ns = now.duration_since(clock.wall).as_nanos() as u64;
+        clock.wall = now;
+        let mut input = WindowInput {
+            shards: Some(self.merged_workers()),
+            exemplars,
+            exemplars_dropped,
+            ..WindowInput::default()
+        };
+        for ring in &self.intervals {
+            let mut ring = ring.lock();
+            input.intervals_dropped += ring.take_dropped();
+            input.intervals.extend(ring.drain());
+        }
+        let mut observer = observer.lock();
+        if let Some(sketch) = observer.sketch_mut() {
+            for shard in &self.sketches {
+                let fresh = PopulationSketch::new(sketch.config());
+                sketch.absorb(&std::mem::replace(&mut *shard.lock(), fresh));
+            }
+        }
+        let mut tm = self.tel_metrics.lock();
+        self.probe_queue_depth(&mut tm);
+        for (i, a) in self.active_ns.iter().enumerate() {
+            let cur = a.load(Ordering::Relaxed);
+            let busy = cur.saturating_sub(clock.active_ns[i]);
+            clock.active_ns[i] = cur;
+            let util = if window_ns > 0 {
+                (busy as f64 / window_ns as f64).min(1.0)
+            } else {
+                0.0
+            };
+            tm.set_gauge(
+                &format!("{}.w{i}", names::TELEMETRY_WORKER_UTILIZATION),
+                util,
+            );
+        }
+        observer.window(t_us, &mut tm, input);
+    }
 }
 
 /// A started network; inject messages, then [`RunningNet::stop`].
@@ -675,70 +814,15 @@ pub struct RunningNet {
     router: Router,
     stop: Arc<AtomicBool>,
     joins: Vec<std::thread::JoinHandle<Box<dyn Node>>>,
-    metrics: Vec<Arc<Mutex<Metrics>>>,
     lineages: Vec<Arc<Mutex<Lineage>>>,
     logical: Arc<Vec<LogicalEntry>>,
     /// Wall-clock zero shared with every worker; telemetry windows are
     /// stamped as microseconds since this instant.
     epoch: Instant,
-    /// Receiver clones kept solely for occupancy probes (`len()`).
-    receivers: Vec<Receiver<Ev>>,
     tel_enabled: Arc<AtomicBool>,
-    active_ns: Vec<Arc<AtomicU64>>,
-    /// Per-worker forensics interval rings, drained into the telemetry
-    /// timeline (worker-index order) at [`RunningNet::stop`].
-    intervals: Vec<Arc<Mutex<IntervalRing>>>,
-    /// Per-worker population-sketch shards, merged (worker-index order)
-    /// and drained into the telemetry timeline at [`RunningNet::stop`].
-    sketches: Vec<Arc<Mutex<PopulationSketch>>>,
-    /// Runtime-health gauges owned by the sampler thread (queue depth,
-    /// worker utilization) — a separate shard so the sampler never
-    /// writes into a worker's private metrics.
-    tel_metrics: Arc<Mutex<Metrics>>,
+    shards: Shards,
     sampler: Option<SamplerHandle>,
     scrape: Option<TextServer>,
-}
-
-/// Merges per-worker metric shards into one consistent snapshot.
-///
-/// Mid-run merge semantics (the live `/metrics` endpoint and
-/// [`RunningNet::metrics_snapshot`] both use this, so a scrape never
-/// sees half-merged values):
-///
-/// * shards are merged **in worker-index order**, same as the final
-///   [`RunningNet::stop`] merge — counters and histograms sum, series
-///   concatenate, same-named gauges add;
-/// * each shard's lock is held only while that shard is copied, so a
-///   snapshot is per-shard-atomic: it never tears an individual
-///   counter, but shards are copied at slightly different instants
-///   (unavoidable without a stop-the-world pause, and fine for
-///   monotone counters);
-/// * the telemetry shard (`tel_metrics`) merges **last**, and the
-///   momentary queue-depth gauges are re-probed and overwritten after
-///   the merge, so gauges reflect "now", not the sampler's last window.
-fn merged_snapshot(
-    metrics: &[Arc<Mutex<Metrics>>],
-    tel_metrics: &Arc<Mutex<Metrics>>,
-    receivers: &[Receiver<Ev>],
-) -> Metrics {
-    let mut merged = Metrics::default();
-    for m in metrics {
-        merged.merge(&m.lock());
-    }
-    merged.merge(&tel_metrics.lock());
-    let mut total = 0usize;
-    for (i, rx) in receivers.iter().enumerate() {
-        let depth = rx.len();
-        total += depth;
-        merged.set_gauge(
-            &format!("{}.w{i}", names::TELEMETRY_QUEUE_DEPTH),
-            depth as f64,
-        );
-    }
-    // set_gauge (not merge-add) so the aggregate overwrites whatever
-    // stale sum the per-shard merge produced.
-    merged.set_gauge(names::TELEMETRY_QUEUE_DEPTH, total as f64);
-    merged
 }
 
 impl RunningNet {
@@ -757,99 +841,71 @@ impl RunningNet {
     /// Live value of counter `name`, summed across worker shards —
     /// lets harnesses poll for progress without stopping the net.
     pub fn counter(&self, name: &str) -> f64 {
-        self.metrics.iter().map(|m| m.lock().counter(name)).sum()
+        self.shards
+            .metrics
+            .iter()
+            .map(|m| m.lock().counter(name))
+            .sum()
     }
 
     /// A consistent mid-run snapshot of all metric kinds (counters,
     /// gauges, histograms, series) merged across every worker shard —
-    /// see `merged_snapshot` for the exact semantics. Safe to call at
+    /// see `Shards::snapshot` for the exact semantics. Safe to call at
     /// any point; the live `/metrics` endpoint serves exactly this.
     pub fn metrics_snapshot(&self) -> Metrics {
-        merged_snapshot(&self.metrics, &self.tel_metrics, &self.receivers)
+        self.shards.snapshot()
     }
 
-    /// Arms telemetry and spawns a background sampler thread that every
-    /// `interval` probes each worker's channel occupancy
-    /// (`telemetry.queue_depth.w<i>`) and busy/idle utilization
-    /// (`telemetry.worker_utilization.w<i>`, fraction of the window
-    /// spent inside node callbacks), then feeds a merged snapshot to a
-    /// [`Sampler`] — the wall-clock twin of the simulator's
-    /// virtual-time sampler. Also enables per-dispatch service-time
-    /// histograms on every worker. Idempotent: a second call is a
-    /// no-op.
+    /// Arms telemetry and spawns a background sampler thread that closes
+    /// an [`Observer`] window every `interval` — the wall-clock twin of
+    /// the simulator's virtual-time windows. Each window probes every
+    /// worker's channel occupancy (`telemetry.queue_depth.w<i>`) and
+    /// busy/idle utilization (`telemetry.worker_utilization.w<i>`,
+    /// fraction of the window spent inside node callbacks), drains the
+    /// workers' sketch shards and interval rings, samples a merged
+    /// snapshot and judges it with the default health rules, so
+    /// `lag_skew` and `entity_dominance` fire live. Also enables
+    /// per-dispatch service-time histograms on every worker.
+    /// Idempotent: a second call is a no-op.
     pub fn start_sampler(&mut self, interval: Duration) {
         if self.sampler.is_some() {
             return;
         }
         self.tel_enabled.store(true, Ordering::Relaxed);
         let interval = interval.max(Duration::from_micros(1));
-        let sampler = Arc::new(Mutex::new(Sampler::new(interval.as_micros() as u64)));
-        // Wall-clock twin of the simulator's health engine: judge every
-        // window with the default rule set, counters primed so the
-        // `health.alert.*` family is visible even when nothing fires.
-        let mut health = gryphon_sim::HealthEngine::new(gryphon_sim::default_rules());
-        health.prime(&mut self.tel_metrics.lock());
+        let mut observer = Observer::new(interval.as_micros() as u64);
+        // Counters primed so the `health.alert.*` family is visible
+        // even when nothing fires.
+        let health = gryphon_sim::HealthEngine::new(gryphon_sim::default_rules());
+        health.prime(&mut self.shards.tel_metrics.lock());
+        observer.arm_health(health);
+        observer.arm_sketch(SketchConfig::default());
+        let observer = Arc::new(Mutex::new(observer));
         let stop = Arc::new(AtomicBool::new(false));
-        let thread_sampler = Arc::clone(&sampler);
+        let thread_observer = Arc::clone(&observer);
         let thread_stop = Arc::clone(&stop);
-        let metrics = self.metrics.clone();
-        let tel_metrics = Arc::clone(&self.tel_metrics);
-        let receivers: Vec<Receiver<Ev>> = self.receivers.iter().map(Receiver::clone).collect();
-        let active_ns: Vec<Arc<AtomicU64>> = self.active_ns.iter().map(Arc::clone).collect();
+        let shards = self.shards.clone();
         let epoch = self.epoch;
+        let mut clock = WindowClock {
+            wall: Instant::now(),
+            active_ns: vec![0; shards.active_ns.len()],
+        };
         let join = std::thread::Builder::new()
             .name("telemetry-sampler".into())
             .spawn(move || {
-                let mut last_active: Vec<u64> = vec![0; active_ns.len()];
-                let mut last_wall = Instant::now();
                 loop {
                     std::thread::sleep(interval);
                     if thread_stop.load(Ordering::Relaxed) {
                         break;
                     }
-                    let now = Instant::now();
-                    let window_ns = now.duration_since(last_wall).as_nanos() as u64;
-                    last_wall = now;
-                    {
-                        let mut tm = tel_metrics.lock();
-                        for (i, rx) in receivers.iter().enumerate() {
-                            tm.set_gauge(
-                                &format!("{}.w{i}", names::TELEMETRY_QUEUE_DEPTH),
-                                rx.len() as f64,
-                            );
-                        }
-                        for (i, a) in active_ns.iter().enumerate() {
-                            let cur = a.load(Ordering::Relaxed);
-                            let busy = cur.saturating_sub(last_active[i]);
-                            last_active[i] = cur;
-                            let util = if window_ns > 0 {
-                                (busy as f64 / window_ns as f64).min(1.0)
-                            } else {
-                                0.0
-                            };
-                            tm.set_gauge(
-                                &format!("{}.w{i}", names::TELEMETRY_WORKER_UTILIZATION),
-                                util,
-                            );
-                        }
-                    }
-                    let snapshot = merged_snapshot(&metrics, &tel_metrics, &receivers);
                     let t_us = epoch.elapsed().as_micros() as u64;
-                    let mut s = thread_sampler.lock();
-                    s.sample(t_us, &snapshot);
-                    for alert in health.evaluate(t_us, s.timeline()) {
-                        if alert.state == gryphon_sim::AlertState::Firing {
-                            tel_metrics
-                                .lock()
-                                .count(&format!("health.alert.{}", alert.rule), 1.0);
-                        }
-                        s.timeline_mut().push_alert(alert);
-                    }
+                    shards.window(&thread_observer, &mut clock, t_us, Vec::new(), 0);
                 }
+                clock
             })
             .expect("spawn telemetry sampler");
         self.sampler = Some(SamplerHandle {
-            sampler,
+            observer,
             stop,
             join,
         });
@@ -860,7 +916,7 @@ impl RunningNet {
     pub fn telemetry(&self) -> Option<Timeline> {
         self.sampler
             .as_ref()
-            .map(|h| h.sampler.lock().timeline().clone())
+            .map(|h| h.observer.lock().timeline().clone())
     }
 
     /// Serves the merged metrics snapshot as Prometheus text over a tiny
@@ -871,23 +927,15 @@ impl RunningNet {
     ///
     /// Returns the bind error if `addr` cannot be bound.
     pub fn serve_metrics(&mut self, addr: &str) -> std::io::Result<std::net::SocketAddr> {
-        let metrics = self.metrics.clone();
-        let tel_metrics = Arc::clone(&self.tel_metrics);
-        let receivers: Vec<Receiver<Ev>> = self.receivers.iter().map(Receiver::clone).collect();
+        let shards = self.shards.clone();
         // `/healthz` reports the live alert count — arm the sampler
         // before serving if health-rule evaluation should feed it.
-        let health_sampler = self.sampler.as_ref().map(|h| Arc::clone(&h.sampler));
+        let health_observer = self.sampler.as_ref().map(|h| Arc::clone(&h.observer));
         let server = TextServer::serve_with_health(
             addr,
-            move || {
-                gryphon_sim::lineage::prometheus_text(&merged_snapshot(
-                    &metrics,
-                    &tel_metrics,
-                    &receivers,
-                ))
-            },
-            move || match &health_sampler {
-                Some(s) => format!("alerts {}\n", s.lock().timeline().alerts().len()),
+            move || gryphon_sim::lineage::prometheus_text(&shards.snapshot()),
+            move || match &health_observer {
+                Some(o) => format!("alerts {}\n", o.lock().timeline().alerts().len()),
                 None => "alerts 0\n".to_owned(),
             },
         )?;
@@ -897,16 +945,23 @@ impl RunningNet {
     }
 
     /// Stops all node threads and returns their final states.
+    ///
+    /// With the sampler armed, the run ends on one last observer window
+    /// after every worker has stopped. That window alone carries the
+    /// tail exemplars, resolved against the *merged* lineage so a span
+    /// whose stages ran on different workers still renders end to end
+    /// — the one intended difference from the simulator, which hands
+    /// exemplars over every window. Without one, a throwaway window
+    /// over the folded sketch shards still publishes the `sketch.*`
+    /// gauges into [`NetResult::metrics`].
     pub fn stop(mut self) -> NetResult {
         // Scrape endpoint and sampler go down first so neither observes
         // a half-stopped net.
         drop(self.scrape.take());
-        let mut telemetry = self.sampler.take().map(|h| {
+        let sampler = self.sampler.take().map(|h| {
             h.stop.store(true, Ordering::Relaxed);
-            let _ = h.join.join();
-            Arc::try_unwrap(h.sampler)
-                .map(|m| m.into_inner().into_timeline())
-                .unwrap_or_else(|arc| arc.lock().timeline().clone())
+            let clock = h.join.join().expect("telemetry sampler thread");
+            (h.observer, clock)
         });
         self.stop.store(true, Ordering::Relaxed);
         let workers: Vec<Box<dyn Node>> = self
@@ -914,13 +969,6 @@ impl RunningNet {
             .drain(..)
             .map(|j| j.join().expect("node thread"))
             .collect();
-        let mut merged = Metrics::default();
-        for m in &self.metrics {
-            merged.merge(&m.lock());
-        }
-        // The sampler's runtime-health gauges merge after the worker
-        // shards, same position they hold in live snapshots.
-        merged.merge(&self.tel_metrics.lock());
         // Lineage shards merge in worker-index order — the same
         // deterministic discipline as the metrics merge, so repeated
         // runs of a deterministic workload produce identical ledgers.
@@ -929,73 +977,43 @@ impl RunningNet {
         for l in &self.lineages {
             lineage.merge(&l.lock());
         }
-        // Drain forensics into the timeline: exemplars resolve against
-        // the *merged* lineage (a span whose stages ran on different
-        // workers still renders end-to-end), intervals drain in
-        // worker-index order. Shed records surface as counters.
-        if let Some(t) = telemetry.as_mut() {
-            let mut dropped = 0;
-            let drained = match lineage.exemplars_mut() {
-                Some(r) => {
-                    dropped += r.take_dropped();
-                    r.drain_sorted()
-                }
-                None => Vec::new(),
+        let telemetry = sampler.map(|(observer, mut clock)| {
+            let (dropped, samples) = match lineage.exemplars_mut() {
+                Some(r) => (r.take_dropped(), r.drain_sorted()),
+                None => (0, Vec::new()),
             };
-            for s in drained {
-                let ex = Exemplar::resolve(&s, lineage.span(s.key));
-                dropped += t.push_exemplar(ex);
-            }
-            if dropped > 0 {
-                merged.count(names::FORENSICS_EXEMPLAR_DROPPED, dropped as f64);
-            }
-            let mut dropped = 0;
-            for ring in &self.intervals {
-                let mut ring = ring.lock();
-                dropped += ring.take_dropped();
-                for iv in ring.drain() {
-                    dropped += t.push_interval(iv);
-                }
-            }
-            if dropped > 0 {
-                merged.count(names::FORENSICS_INTERVAL_DROPPED, dropped as f64);
-            }
-        }
-        // Population-sketch shards merge in worker-index order, then the
-        // merged sketch drains once — the wall-clock twin of the
-        // simulator's per-window drain. Snapshots land on the timeline
-        // when a sampler ran; the spectrum/dominance gauges always land
-        // in the merged metrics.
-        let mut sketch = PopulationSketch::new(SketchConfig::default());
-        for s in &self.sketches {
-            sketch.absorb(&s.lock());
-        }
-        if !sketch.is_empty() {
+            let exemplars = samples
+                .iter()
+                .map(|s| Exemplar::resolve(s, lineage.span(s.key)))
+                .collect();
             let t_us = self.epoch.elapsed().as_micros() as u64;
-            let (snaps, stats) = sketch.drain(t_us);
-            if let Some(stats) = stats {
-                merged.set_gauge(names::SKETCH_LAG_POPULATION, stats.population as f64);
-                merged.set_gauge(names::SKETCH_LAG_P50_US, stats.p50_us as f64);
-                merged.set_gauge(names::SKETCH_LAG_P99_US, stats.p99_us as f64);
-                merged.set_gauge(names::SKETCH_LAG_MAX_US, stats.max_us as f64);
-                merged.set_gauge(names::SKETCH_LAG_SKEW, stats.skew());
-            }
-            if let Some(bytes) = snaps.iter().find(|s| s.dim == DIM_SUB_BYTES) {
-                merged.set_gauge(names::SKETCH_DOMINANCE_SHARE, bytes.alarm_share());
-            }
-            if let Some(t) = telemetry.as_mut() {
-                let mut dropped = 0;
-                for snap in snaps {
-                    dropped += t.push_topk(snap);
+            self.shards
+                .window(&observer, &mut clock, t_us, exemplars, dropped);
+            Arc::try_unwrap(observer)
+                .map(|m| m.into_inner().into_timeline())
+                .unwrap_or_else(|arc| arc.lock().timeline().clone())
+        });
+        // The sampler-owned shard merges after the worker shards, same
+        // position it holds in live snapshots.
+        let mut metrics = self.shards.merged_workers();
+        metrics.merge(&self.shards.tel_metrics.lock());
+        if telemetry.is_none() {
+            // Unsampled: one throwaway window over the folded sketch
+            // shards, so the run still reports its lag-spectrum and
+            // dominance gauges.
+            let mut observer = Observer::new(1);
+            observer.arm_sketch(SketchConfig::default());
+            if let Some(sketch) = observer.sketch_mut() {
+                for shard in &self.shards.sketches {
+                    sketch.absorb(&shard.lock());
                 }
-                if dropped > 0 {
-                    merged.count(names::FORENSICS_TOPK_DROPPED, dropped as f64);
-                }
             }
+            let t_us = self.epoch.elapsed().as_micros() as u64;
+            observer.window(t_us, &mut metrics, WindowInput::default());
         }
         NetResult {
             workers,
-            metrics: merged,
+            metrics,
             lineage,
             telemetry,
             logical: Arc::clone(&self.logical),
@@ -1065,94 +1083,6 @@ impl NetResult {
     /// all workers.
     pub fn ledger_violations(&self) -> u64 {
         self.lineage.violations()
-    }
-}
-
-/// [`Executor`] adapter over the threaded runtime: spawn nodes while
-/// building, then the first `inject`/`advance_us` starts the threads.
-///
-/// `connect` is a no-op (the net is fully connected); `advance_us`
-/// sleeps wall-clock time. Call [`NetExecutor::finish`] to stop the
-/// threads and obtain the merged [`NetResult`].
-pub struct NetExecutor {
-    state: ExecState,
-}
-
-enum ExecState {
-    Building(NetBuilder),
-    Running(Box<RunningNet>),
-    Done,
-}
-
-impl Default for NetExecutor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl NetExecutor {
-    /// An empty, not-yet-started executor.
-    pub fn new() -> Self {
-        NetExecutor {
-            state: ExecState::Building(NetBuilder::new()),
-        }
-    }
-
-    /// Marker type for nodes spawned type-erased via [`Executor::spawn`]
-    /// (they cannot be downcast back out of a [`NetResult`]).
-    fn ensure_running(&mut self) -> &RunningNet {
-        if let ExecState::Building(_) = self.state {
-            let ExecState::Building(b) = std::mem::replace(&mut self.state, ExecState::Done) else {
-                unreachable!()
-            };
-            self.state = ExecState::Running(Box::new(b.start()));
-        }
-        match &self.state {
-            ExecState::Running(r) => r,
-            _ => panic!("NetExecutor already finished"),
-        }
-    }
-
-    /// Stops the threads (starting them first if nothing ever ran) and
-    /// returns the final states + merged metrics.
-    pub fn finish(mut self) -> NetResult {
-        self.ensure_running();
-        match std::mem::replace(&mut self.state, ExecState::Done) {
-            ExecState::Running(r) => r.stop(),
-            _ => unreachable!("ensure_running left executor running"),
-        }
-    }
-}
-
-/// Type-erased registration marker (see [`NetExecutor::ensure_running`]).
-struct Opaque;
-
-impl Executor for NetExecutor {
-    fn spawn(&mut self, name: &str, node: Box<dyn Node>) -> NodeId {
-        let ExecState::Building(b) = &mut self.state else {
-            panic!("NetExecutor::spawn after start — register all nodes before injecting");
-        };
-        b.add_entry::<Opaque>(name, vec![node], TypeId::of::<Opaque>())
-            .id()
-    }
-
-    fn connect(&mut self, _a: NodeId, _b: NodeId) {
-        // Fully connected already.
-    }
-
-    fn inject(&mut self, to: NodeId, msg: NetMsg) {
-        self.ensure_running().inject(to, msg);
-    }
-
-    fn advance_us(&mut self, us: u64) {
-        self.ensure_running().run_for(Duration::from_micros(us));
-    }
-
-    fn counter(&self, name: &str) -> f64 {
-        match &self.state {
-            ExecState::Building(_) | ExecState::Done => 0.0,
-            ExecState::Running(r) => r.counter(name),
-        }
     }
 }
 
@@ -1368,34 +1298,5 @@ mod tests {
             "got: {resp}"
         );
         net.stop();
-    }
-
-    #[test]
-    fn net_executor_runs_nodes() {
-        let mut ex = NetExecutor::new();
-        let a = Executor::spawn(
-            &mut ex,
-            "a",
-            Box::new(Echo {
-                got: 0,
-                timer_fired: false,
-            }),
-        );
-        let b = Executor::spawn(
-            &mut ex,
-            "b",
-            Box::new(Echo {
-                got: 0,
-                timer_fired: false,
-            }),
-        );
-        ex.connect(a, b);
-        for _ in 0..5 {
-            Executor::inject(&mut ex, a, dummy());
-        }
-        ex.advance_us(50_000);
-        assert_eq!(ex.counter("echo.got"), 5.0);
-        let result = ex.finish();
-        assert_eq!(result.metrics.counter("echo.got"), 5.0);
     }
 }

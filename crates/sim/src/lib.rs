@@ -50,7 +50,6 @@
 //! assert!(sim.metrics().series("echoed").len() >= 2); // ping-pongs until time runs out
 //! ```
 
-mod executor;
 pub mod forensics;
 pub mod health;
 pub mod lineage;
@@ -58,9 +57,9 @@ mod metrics;
 mod runtime;
 pub mod sketch;
 pub mod telemetry;
+pub mod testing;
 pub mod trace;
 
-pub use executor::Executor;
 pub use forensics::{BusyInterval, Exemplar, ExemplarReservoir, ForensicsConfig, IntervalRing};
 pub use health::{default_rules, AlertRecord, AlertState, HealthEngine, HealthRule, RuleKind};
 pub use lineage::{LedgerAudit, Lineage, Span};

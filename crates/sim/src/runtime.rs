@@ -162,15 +162,6 @@ struct NodeSlot {
     type_id: Option<std::any::TypeId>,
 }
 
-/// Armed tail-forensics state: the interval ring collecting per-node
-/// busy/commit/fsync slices between sampler windows. The exemplar
-/// reservoir itself lives inside the lineage assembler (where the stage
-/// histograms are observed); this only holds the profiler side.
-struct ForensicsState {
-    config: crate::forensics::ForensicsConfig,
-    intervals: crate::forensics::IntervalRing,
-}
-
 /// The deterministic simulator. See the [crate docs](crate) for an
 /// overview and example.
 pub struct Sim {
@@ -203,25 +194,17 @@ pub struct Sim {
     /// Fixed CPU charge per delivered message/timer (µs).
     pub base_event_cost_us: u64,
     events_processed: u64,
-    /// Windowed telemetry sampler (`None` = disabled). Fires between
-    /// scheduler events, never through them, so enabling it cannot
-    /// perturb protocol ordering.
-    telemetry: Option<crate::telemetry::Sampler>,
-    /// Online health engine (`None` = disabled). Evaluated right after
-    /// each telemetry sample against the timeline so far; a pure
-    /// observer like the sampler itself.
-    health: Option<crate::health::HealthEngine>,
-    /// Tail-forensics profiler (`None` = disarmed). Collects bounded
-    /// busy-interval records and (with the `trace` feature) arms the
-    /// lineage exemplar reservoir; both drain into the telemetry
-    /// timeline each sampler window. Pure observer: arming it leaves
-    /// traces and deliveries bit-identical.
-    forensics: Option<ForensicsState>,
-    /// Population sketch (`None` = disarmed): per-entity top-K
-    /// attribution and the subscriber lag spectrum, fed through
-    /// [`NodeCtx::attribute`] and drained into the telemetry timeline
-    /// each sampler window. Pure observer like the sampler itself.
-    sketch: Option<crate::sketch::PopulationSketch>,
+    /// Per-window observer (`None` = telemetry disabled): the sampler,
+    /// the optional health engine and population sketch. Windows close
+    /// between scheduler events, never through them, so enabling it
+    /// cannot perturb protocol ordering.
+    observer: Option<crate::telemetry::Observer>,
+    /// Tail-forensics interval ring (`None` = disarmed): bounded
+    /// busy-interval records per node, drained into each window next to
+    /// the lineage exemplar reservoir (armed with it under the `trace`
+    /// feature). Pure observer: arming it leaves traces and deliveries
+    /// bit-identical.
+    forensics: Option<crate::forensics::IntervalRing>,
 }
 
 impl std::fmt::Debug for Sim {
@@ -268,10 +251,8 @@ impl Sim {
             ledger_panic: cfg!(debug_assertions),
             base_event_cost_us: 0,
             events_processed: 0,
-            telemetry: None,
-            health: None,
+            observer: None,
             forensics: None,
-            sketch: None,
         }
     }
 
@@ -387,208 +368,131 @@ impl Sim {
     }
 
     /// Enables the windowed telemetry sampler at a fixed virtual-time
-    /// `interval_us` (see [`crate::telemetry`]). Each due sample fires
+    /// `interval_us` (see [`crate::telemetry`]). Each due window closes
     /// between scheduler events: it snapshots the scheduler's
     /// outstanding-event count as the
     /// [`telemetry.queue_depth`](crate::names::TELEMETRY_QUEUE_DEPTH)
-    /// gauge, then lets the sampler read all gauges and counter rates.
+    /// gauge, then runs [`Observer::window`](crate::telemetry::Observer::window).
     /// Sampling appends only to metrics — traces and deliveries are
-    /// bit-identical with the sampler on or off.
+    /// bit-identical with the sampler on or off. A second call restarts
+    /// the sampler on a fresh timeline and keeps an armed health engine
+    /// and sketch.
     pub fn enable_telemetry(&mut self, interval_us: u64) {
-        self.telemetry = Some(crate::telemetry::Sampler::new(interval_us));
+        match self.observer.as_mut() {
+            Some(observer) => observer.reset_sampler(interval_us),
+            None => self.observer = Some(crate::telemetry::Observer::new(interval_us)),
+        }
     }
 
     /// The telemetry timeline collected so far (`None` when disabled).
     pub fn telemetry(&self) -> Option<&crate::telemetry::Timeline> {
-        self.telemetry.as_ref().map(|s| s.timeline())
+        self.observer.as_ref().map(|o| o.timeline())
     }
 
     /// Takes the telemetry timeline out of the sim (disabling further
     /// sampling), e.g. to attach it to a report.
     pub fn take_telemetry(&mut self) -> Option<crate::telemetry::Timeline> {
-        self.telemetry.take().map(|s| s.into_timeline())
+        self.observer.take().map(|o| o.into_timeline())
     }
 
     /// Arms the online health engine over `rules` (see
-    /// [`crate::health`]). Requires telemetry to be enabled — the engine
-    /// judges the sampler's timeline and is evaluated once per sample
-    /// window. Each rule's `health.alert.<rule>` counter is registered
-    /// at zero immediately so exports show the armed rule set even when
-    /// nothing ever fires. Like the sampler, the engine is a pure
-    /// observer: it never touches the event queue, and on a clean run it
-    /// emits no trace events at all.
+    /// [`crate::health`]). Call after [`Sim::enable_telemetry`] — the
+    /// engine judges the sampler's timeline once per window. Each
+    /// rule's `health.alert.<rule>` counter is registered at zero
+    /// immediately so exports show the armed rule set even when nothing
+    /// ever fires. Like the sampler, the engine is a pure observer: it
+    /// never touches the event queue, and on a clean run it emits no
+    /// trace events at all.
+    ///
+    /// # Panics
+    ///
+    /// Panics when telemetry is disabled.
     pub fn enable_health(&mut self, rules: Vec<crate::health::HealthRule>) {
         let engine = crate::health::HealthEngine::new(rules);
         engine.prime(&mut self.metrics);
-        self.health = Some(engine);
-    }
-
-    /// The armed health engine (`None` when disabled).
-    pub fn health(&self) -> Option<&crate::health::HealthEngine> {
-        self.health.as_ref()
+        self.observer
+            .as_mut()
+            .expect("enable_health requires enable_telemetry first")
+            .arm_health(engine);
     }
 
     /// Arms tail forensics: an exemplar reservoir on the lineage stage
     /// histograms (with the `trace` feature) and a bounded busy-interval
     /// recorder fed by [`Sim::charge`] / [`NodeCtx::interval`]. Both
-    /// streams drain into the telemetry timeline once per sampler window
-    /// (so telemetry should be enabled too; without it the interval ring
+    /// streams drain into the telemetry timeline once per window (so
+    /// telemetry should be enabled too; without it the interval ring
     /// simply fills and evicts). Pure observer — see DESIGN.md §17.
     pub fn enable_forensics(&mut self, cfg: crate::forensics::ForensicsConfig) {
         #[cfg(feature = "trace")]
         self.lineage
             .arm_exemplars(crate::forensics::ExemplarReservoir::new(&cfg));
-        self.forensics = Some(ForensicsState {
-            intervals: crate::forensics::IntervalRing::new(cfg.interval_capacity),
-            config: cfg,
-        });
-    }
-
-    /// `true` when the tail-forensics profiler is armed.
-    pub fn forensics_enabled(&self) -> bool {
-        self.forensics.is_some()
-    }
-
-    /// The armed forensics configuration (`None` when disarmed).
-    pub fn forensics_config(&self) -> Option<&crate::forensics::ForensicsConfig> {
-        self.forensics.as_ref().map(|f| &f.config)
+        self.forensics = Some(crate::forensics::IntervalRing::new(cfg.interval_capacity));
     }
 
     /// Arms the population sketch: per-entity top-K attribution
     /// ([`NodeCtx::attribute`]) plus the subscriber lag spectrum, in
-    /// O(K) memory per dimension. Drained into top-K snapshots on the
-    /// telemetry timeline once per sampler window (so telemetry should
-    /// be enabled too; without it attributions simply accumulate). Pure
-    /// observer — see DESIGN.md §18.
+    /// O(K) memory per dimension, drained into top-K snapshots on the
+    /// telemetry timeline once per window. Call after
+    /// [`Sim::enable_telemetry`]. Pure observer — see DESIGN.md §18.
+    ///
+    /// # Panics
+    ///
+    /// Panics when telemetry is disabled.
     pub fn enable_sketch(&mut self, cfg: crate::sketch::SketchConfig) {
-        self.sketch = Some(crate::sketch::PopulationSketch::new(cfg));
+        self.observer
+            .as_mut()
+            .expect("enable_sketch requires enable_telemetry first")
+            .arm_sketch(cfg);
     }
 
-    /// `true` when the population sketch is armed.
-    pub fn sketch_enabled(&self) -> bool {
-        self.sketch.is_some()
-    }
-
-    /// The armed sketch configuration (`None` when disarmed).
-    pub fn sketch_config(&self) -> Option<crate::sketch::SketchConfig> {
-        self.sketch.as_ref().map(|s| s.config())
-    }
-
-    /// Fires every telemetry sample due at or before `upto_us`, then
-    /// lets the health engine judge each new window.
+    /// Closes every window due at or before `upto_us`.
     fn fire_due_samples(&mut self, upto_us: u64) {
-        let Some(mut sampler) = self.telemetry.take() else {
+        let Some(mut observer) = self.observer.take() else {
             return;
         };
-        let mut health = self.health.take();
-        while sampler.next_at_us() <= upto_us {
-            let at = sampler.next_at_us();
+        while observer.next_at_us() <= upto_us {
+            let at = observer.next_at_us();
             self.metrics
                 .set_gauge(crate::names::TELEMETRY_QUEUE_DEPTH, self.queue.len() as f64);
-            let sketch_out = self.sketch.as_mut().map(|sk| sk.drain(at));
-            if let Some((snaps, stats)) = &sketch_out {
-                // Gauges land before `sample` so this window's snapshot
-                // reflects this window's sweep, mirroring queue depth.
-                if let Some(stats) = stats {
-                    self.metrics
-                        .set_gauge(crate::names::SKETCH_LAG_POPULATION, stats.population as f64);
-                    self.metrics
-                        .set_gauge(crate::names::SKETCH_LAG_P50_US, stats.p50_us as f64);
-                    self.metrics
-                        .set_gauge(crate::names::SKETCH_LAG_P99_US, stats.p99_us as f64);
-                    self.metrics
-                        .set_gauge(crate::names::SKETCH_LAG_MAX_US, stats.max_us as f64);
-                    self.metrics
-                        .set_gauge(crate::names::SKETCH_LAG_SKEW, stats.skew());
-                }
-                if let Some(bytes) = snaps.iter().find(|s| s.dim == crate::sketch::DIM_SUB_BYTES) {
-                    self.metrics
-                        .set_gauge(crate::names::SKETCH_DOMINANCE_SHARE, bytes.alarm_share());
-                }
-            }
-            sampler.sample(at, &self.metrics);
-            if let Some(engine) = health.as_mut() {
-                for mut alert in engine.evaluate(at, sampler.timeline()) {
-                    if let Some((snaps, _)) = &sketch_out {
-                        crate::sketch::name_culprit(&mut alert.detail, &alert.series, snaps);
-                    }
-                    if alert.state == crate::health::AlertState::Firing {
-                        self.metrics
-                            .count(&format!("health.alert.{}", alert.rule), 1.0);
-                    }
-                    #[cfg(feature = "trace")]
-                    self.push_trace(
-                        CONTROL_NODE,
-                        crate::trace::TraceEvent::HealthAlert {
-                            rule: alert.rule.clone(),
-                            series: alert.series.clone(),
-                            firing: alert.state == crate::health::AlertState::Firing,
-                        },
-                    );
-                    sampler.timeline_mut().push_alert(alert);
-                }
-            }
-            if let Some((snaps, _)) = sketch_out {
-                let mut dropped = 0;
-                for snap in snaps {
-                    dropped += sampler.timeline_mut().push_topk(snap);
-                }
-                if dropped > 0 {
-                    self.metrics.count(
-                        crate::metrics::names::FORENSICS_TOPK_DROPPED,
-                        dropped as f64,
-                    );
-                }
-            }
-            self.drain_forensics(&mut sampler);
-        }
-        self.health = health;
-        self.telemetry = Some(sampler);
-    }
-
-    /// Moves everything the forensics observers collected this window
-    /// into the telemetry timeline: tail exemplars (resolved against
-    /// their assembled lineage spans) and busy intervals. Drops shed by
-    /// the bounded reservoir/ring/timeline are surfaced as the
-    /// `forensics.*_dropped` counters.
-    fn drain_forensics(&mut self, sampler: &mut crate::telemetry::Sampler) {
-        if self.forensics.is_none() {
-            return;
-        }
-        #[cfg(feature = "trace")]
-        {
-            let mut dropped = 0;
-            let drained = match self.lineage.exemplars_mut() {
-                Some(r) => {
-                    dropped += r.take_dropped();
-                    r.drain_sorted()
-                }
-                None => Vec::new(),
-            };
-            for s in drained {
-                let ex = crate::forensics::Exemplar::resolve(&s, self.lineage.span(s.key));
-                dropped += sampler.timeline_mut().push_exemplar(ex);
-            }
-            if dropped > 0 {
-                self.metrics.count(
-                    crate::metrics::names::FORENSICS_EXEMPLAR_DROPPED,
-                    dropped as f64,
+            let input = self.drain_forensics();
+            let alerts = observer.window(at, &mut self.metrics, input);
+            #[cfg(feature = "trace")]
+            for alert in alerts {
+                self.push_trace(
+                    CONTROL_NODE,
+                    crate::trace::TraceEvent::HealthAlert {
+                        firing: alert.state == crate::health::AlertState::Firing,
+                        rule: alert.rule,
+                        series: alert.series,
+                    },
                 );
             }
+            #[cfg(not(feature = "trace"))]
+            let _ = alerts;
         }
-        let Some(f) = self.forensics.as_mut() else {
-            return;
+        self.observer = Some(observer);
+    }
+
+    /// Drains what the forensics observers collected this window: tail
+    /// exemplars (resolved against their assembled lineage spans) and
+    /// busy intervals. Empty while forensics is disarmed.
+    fn drain_forensics(&mut self) -> crate::telemetry::WindowInput {
+        let mut input = crate::telemetry::WindowInput::default();
+        let Some(ring) = self.forensics.as_mut() else {
+            return input;
         };
-        let mut dropped = f.intervals.take_dropped();
-        for iv in f.intervals.drain() {
-            dropped += sampler.timeline_mut().push_interval(iv);
+        input.intervals_dropped = ring.take_dropped();
+        input.intervals = ring.drain();
+        #[cfg(feature = "trace")]
+        if let Some(r) = self.lineage.exemplars_mut() {
+            input.exemplars_dropped = r.take_dropped();
+            let drained = r.drain_sorted();
+            input.exemplars = drained
+                .iter()
+                .map(|s| crate::forensics::Exemplar::resolve(s, self.lineage.span(s.key)))
+                .collect();
         }
-        if dropped > 0 {
-            self.metrics.count(
-                crate::metrics::names::FORENSICS_INTERVAL_DROPPED,
-                dropped as f64,
-            );
-        }
+        input
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -643,8 +547,8 @@ impl Sim {
     /// disarmed). Never touches the event queue.
     fn push_interval(&mut self, id: NodeId, kind: &'static str, dur_us: u64) {
         let now = self.now;
-        if let Some(f) = self.forensics.as_mut() {
-            f.intervals.push(crate::forensics::BusyInterval {
+        if let Some(ring) = self.forensics.as_mut() {
+            ring.push(crate::forensics::BusyInterval {
                 track: id.0,
                 kind,
                 start_us: now.saturating_sub(dur_us),
@@ -1135,7 +1039,7 @@ impl NodeCtx for SimCtx<'_> {
     }
 
     fn attribute(&mut self, dim: &'static str, entity: u64, weight: u64) {
-        if let Some(sketch) = self.sim.sketch.as_mut() {
+        if let Some(sketch) = self.sim.observer.as_mut().and_then(|o| o.sketch_mut()) {
             sketch.attribute(dim, entity, weight);
         }
     }
@@ -1474,6 +1378,39 @@ mod tests {
         assert!(
             gaps.iter().all(|&g| g >= 200),
             "serialization gaps: {gaps:?}"
+        );
+    }
+
+    /// A second `enable_telemetry` restarts the sampler but keeps the
+    /// health engine and sketch armed before it.
+    #[test]
+    fn re_enabling_telemetry_keeps_health_and_sketch() {
+        struct Hot;
+        impl Node for Hot {
+            fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
+                ctx.set_timer(100, TimerKey(0));
+            }
+            fn on_message(&mut self, _: NodeId, _: NetMsg, _: &mut dyn NodeCtx) {}
+            fn on_timer(&mut self, _: TimerKey, ctx: &mut dyn NodeCtx) {
+                ctx.attribute(crate::sketch::DIM_SUB_BYTES, 7, 900);
+                for entity in 1..=4 {
+                    ctx.attribute(crate::sketch::DIM_SUB_BYTES, entity, 25);
+                }
+            }
+        }
+        let mut sim = Sim::new(0);
+        sim.add_typed_node("hot", Hot);
+        sim.enable_telemetry(1_000);
+        sim.enable_health(crate::health::default_rules());
+        sim.enable_sketch(crate::sketch::SketchConfig::default());
+        sim.enable_telemetry(1_000);
+        sim.run_until(1_500);
+        let t = sim.telemetry().expect("telemetry armed");
+        assert_eq!(t.topks().len(), 1);
+        assert!(
+            t.alerts().iter().any(|a| a.rule == "entity_dominance"),
+            "{:?}",
+            t.alerts()
         );
     }
 

@@ -140,8 +140,8 @@ impl SpaceSaving {
         };
     }
 
-    /// Folds another sketch into this one (worker-shard merge at stop,
-    /// in worker-index order). Entries arrive in canonical ranked order
+    /// Folds another sketch into this one (the threaded runtime's
+    /// per-window worker-shard merge, in worker-index order). Entries arrive in canonical ranked order
     /// so the merge is deterministic; shared entities sum counts and
     /// error bounds, new entities displace minima as a plain offer
     /// would, additionally inheriting the incoming error bound.
@@ -407,8 +407,8 @@ pub fn name_culprit(detail: &mut String, series: &str, snaps: &[TopKSnapshot]) {
 /// The armed per-runtime sketch state: one [`SpaceSaving`] per
 /// attribution dimension plus the lag spectrum. Fed through
 /// [`NodeCtx::attribute`](crate::runtime::NodeCtx::attribute); drained
-/// once per sampler window (simulator) or at stop (threaded runtime,
-/// after the worker-index-order shard merge).
+/// once per window by [`Observer::window`](crate::telemetry::Observer::window)
+/// (on the threaded runtime after the worker-index-order shard merge).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationSketch {
     config: SketchConfig,

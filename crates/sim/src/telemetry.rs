@@ -31,9 +31,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::forensics::{intern_kind, BusyInterval, Exemplar};
-use crate::health::{AlertRecord, AlertState};
-use crate::metrics::{Histogram, Metrics};
-use crate::sketch::{intern_dim, TopKEntry, TopKSnapshot};
+use crate::health::{AlertRecord, AlertState, HealthEngine};
+use crate::metrics::{names, Histogram, Metrics};
+use crate::sketch::{
+    intern_dim, name_culprit, PopulationSketch, SketchConfig, TopKEntry, TopKSnapshot,
+    DIM_SUB_BYTES,
+};
 
 /// Default bound on resolved tail exemplars a timeline retains (oldest
 /// evicted first; see [`Timeline::push_exemplar`]). Overridable at
@@ -1016,6 +1019,178 @@ impl Sampler {
     }
 }
 
+/// What a driver hands one [`Observer::window`] besides its metrics.
+///
+/// The forensics streams arrive already drained from the driver's
+/// bounded collectors: tail exemplars resolved against their lineage
+/// spans, busy intervals in track order, and the records each
+/// collector shed since the last window (surfaced as the
+/// `forensics.*_dropped` counters together with the timeline's own
+/// evictions).
+#[derive(Debug, Default)]
+pub struct WindowInput {
+    /// Metric shards the sample reads beneath the observer's own
+    /// registry, already merged (the threaded runtime's worker shards,
+    /// in worker-index order). `None` when the registry passed to
+    /// [`Observer::window`] is the whole run.
+    pub shards: Option<Metrics>,
+    /// Resolved tail exemplars, worst first.
+    pub exemplars: Vec<Exemplar>,
+    /// Exemplars the reservoir shed since the last window.
+    pub exemplars_dropped: u64,
+    /// Busy intervals collected since the last window.
+    pub intervals: Vec<BusyInterval>,
+    /// Intervals the ring shed since the last window.
+    pub intervals_dropped: u64,
+}
+
+/// The per-window observer: the [`Sampler`], the optional
+/// [`HealthEngine`] and the window's [`PopulationSketch`], closed once
+/// per window by [`Observer::window`] (DESIGN.md §13).
+///
+/// Every driver owns its clock and calls the same method: the
+/// simulator between scheduler events, `mega_subs` once per census
+/// phase, and the threaded runtime from its sampler thread and once
+/// more at `stop()`. The observer only appends to metrics and the
+/// timeline, so it never feeds back into the run.
+#[derive(Debug, Clone)]
+pub struct Observer {
+    sampler: Sampler,
+    health: Option<HealthEngine>,
+    sketch: Option<PopulationSketch>,
+}
+
+impl Observer {
+    /// An observer sampling every `interval_us`, with health and the
+    /// sketch disarmed.
+    pub fn new(interval_us: u64) -> Observer {
+        Observer {
+            sampler: Sampler::new(interval_us),
+            health: None,
+            sketch: None,
+        }
+    }
+
+    /// Restarts sampling every `interval_us` on a fresh timeline,
+    /// keeping the armed health engine and sketch.
+    pub fn reset_sampler(&mut self, interval_us: u64) {
+        self.sampler = Sampler::new(interval_us);
+    }
+
+    /// Arms `engine` to judge every window (prime its counters on the
+    /// driver's registry first; see [`HealthEngine::prime`]).
+    pub fn arm_health(&mut self, engine: HealthEngine) {
+        self.health = Some(engine);
+    }
+
+    /// Arms the window's population sketch.
+    pub fn arm_sketch(&mut self, cfg: SketchConfig) {
+        self.sketch = Some(PopulationSketch::new(cfg));
+    }
+
+    /// The window's sketch, for drivers feeding
+    /// [`NodeCtx::attribute`](crate::NodeCtx::attribute) into it
+    /// (`None` while disarmed).
+    pub fn sketch_mut(&mut self) -> Option<&mut PopulationSketch> {
+        self.sketch.as_mut()
+    }
+
+    /// Time of the next due window.
+    pub fn next_at_us(&self) -> u64 {
+        self.sampler.next_at_us()
+    }
+
+    /// The timeline collected so far.
+    pub fn timeline(&self) -> &Timeline {
+        self.sampler.timeline()
+    }
+
+    /// Consumes the observer, yielding its timeline.
+    pub fn into_timeline(self) -> Timeline {
+        self.sampler.into_timeline()
+    }
+
+    /// Closes the window at `at_us`, in this order: drain the sketch,
+    /// publish its lag-spectrum and dominance gauges into `metrics`,
+    /// sample, let the health engine judge the window (naming the
+    /// culprit entity of sketch-driven alerts and counting firings as
+    /// `health.alert.<rule>`), then append the top-K snapshots and the
+    /// forensics streams to the timeline. Returns the alerts it pushed.
+    pub fn window(
+        &mut self,
+        at_us: u64,
+        metrics: &mut Metrics,
+        input: WindowInput,
+    ) -> Vec<AlertRecord> {
+        let snaps = self.sketch.as_mut().map(|sk| {
+            let (snaps, stats) = sk.drain(at_us);
+            // Gauges land before the sample so this window's snapshot
+            // reflects this window's sweep.
+            if let Some(stats) = stats {
+                metrics.set_gauge(names::SKETCH_LAG_POPULATION, stats.population as f64);
+                metrics.set_gauge(names::SKETCH_LAG_P50_US, stats.p50_us as f64);
+                metrics.set_gauge(names::SKETCH_LAG_P99_US, stats.p99_us as f64);
+                metrics.set_gauge(names::SKETCH_LAG_MAX_US, stats.max_us as f64);
+                metrics.set_gauge(names::SKETCH_LAG_SKEW, stats.skew());
+            }
+            if let Some(bytes) = snaps.iter().find(|s| s.dim == DIM_SUB_BYTES) {
+                metrics.set_gauge(names::SKETCH_DOMINANCE_SHARE, bytes.alarm_share());
+            }
+            snaps
+        });
+        match input.shards {
+            Some(mut view) => {
+                view.merge(metrics);
+                self.sampler.sample(at_us, &view);
+            }
+            None => self.sampler.sample(at_us, metrics),
+        }
+        let mut pushed = Vec::new();
+        if let Some(engine) = self.health.as_mut() {
+            for mut alert in engine.evaluate(at_us, self.sampler.timeline()) {
+                if let Some(snaps) = &snaps {
+                    name_culprit(&mut alert.detail, &alert.series, snaps);
+                }
+                if alert.state == AlertState::Firing {
+                    metrics.count(&format!("health.alert.{}", alert.rule), 1.0);
+                }
+                pushed.push(alert.clone());
+                self.sampler.timeline_mut().push_alert(alert);
+            }
+        }
+        let timeline = self.sampler.timeline_mut();
+        let dropped: u64 = snaps
+            .into_iter()
+            .flatten()
+            .map(|s| timeline.push_topk(s))
+            .sum();
+        count_dropped(metrics, names::FORENSICS_TOPK_DROPPED, dropped);
+        let dropped = input.exemplars_dropped
+            + input
+                .exemplars
+                .into_iter()
+                .map(|ex| timeline.push_exemplar(ex))
+                .sum::<u64>();
+        count_dropped(metrics, names::FORENSICS_EXEMPLAR_DROPPED, dropped);
+        let dropped = input.intervals_dropped
+            + input
+                .intervals
+                .into_iter()
+                .map(|iv| timeline.push_interval(iv))
+                .sum::<u64>();
+        count_dropped(metrics, names::FORENSICS_INTERVAL_DROPPED, dropped);
+        pushed
+    }
+}
+
+/// Counts `dropped` shed records on `counter`, leaving the counter
+/// unregistered while nothing was ever shed.
+fn count_dropped(metrics: &mut Metrics, counter: &str, dropped: u64) {
+    if dropped > 0 {
+        metrics.count(counter, dropped as f64);
+    }
+}
+
 /// A tiny blocking-TCP text endpoint: serves whatever `content()`
 /// returns to every HTTP GET, `Connection: close` per request, plus a
 /// `/healthz` liveness route answering with `health()` (an alert-count
@@ -1180,6 +1355,48 @@ mod tests {
             t.series("delivered.rate"),
             &[(1_000_000, 100.0), (2_000_000, 50.0)]
         );
+    }
+
+    /// One window, in order: the sketch's dominance gauge lands before
+    /// the sample, the rule judging it names the leading entity, and
+    /// the sample reads the worker shards beneath the registry.
+    #[test]
+    fn observer_window_runs_the_sequence_once() {
+        use crate::sketch::DIM_SUB_BYTES;
+        let mut obs = Observer::new(1_000);
+        let mut m = Metrics::default();
+        let engine = HealthEngine::new(crate::health::default_rules());
+        engine.prime(&mut m);
+        obs.arm_health(engine);
+        obs.arm_sketch(SketchConfig::default());
+        let sketch = obs.sketch_mut().expect("armed");
+        sketch.attribute(DIM_SUB_BYTES, 7, 900);
+        for entity in 1..=4 {
+            sketch.attribute(DIM_SUB_BYTES, entity, 25);
+        }
+        let mut shards = Metrics::default();
+        shards.count("worker.delivered", 5.0);
+        let input = WindowInput {
+            shards: Some(shards),
+            ..WindowInput::default()
+        };
+        let alerts = obs.window(1_000, &mut m, input);
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert_eq!(alerts[0].rule, "entity_dominance");
+        assert!(
+            alerts[0]
+                .detail
+                .contains("hottest_subs_by_bytes entity 7 ("),
+            "{}",
+            alerts[0].detail
+        );
+        assert_eq!(m.counter("health.alert.entity_dominance"), 1.0);
+        let t = obs.timeline();
+        assert_eq!(t.series(names::SKETCH_DOMINANCE_SHARE), &[(1_000, 0.9)]);
+        assert_eq!(t.series("worker.delivered.rate"), &[(1_000, 5_000.0)]);
+        assert_eq!(t.alerts().len(), 1);
+        assert_eq!(t.topks().len(), 1);
+        assert_eq!(obs.next_at_us(), 2_000);
     }
 
     #[test]

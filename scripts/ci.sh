@@ -26,10 +26,20 @@ cargo test -q -p gryphon --test recovery_answer
 
 echo "== interest versioning =="
 # Subscription-start causality and incremental interest propagation
-# (delta chaining, restarted-IB unknown reports, multi-pubend batch
-# ordering, O(N) registration traffic). Lives in the core crate, which
-# the root `cargo test` above does not run.
+# (delta chaining, the restarted IB's wait-for-every-child resync,
+# multi-pubend batch ordering, O(N) registration traffic). Lives in the
+# core crate, which the root `cargo test` above does not run.
 cargo test -q -p gryphon --test interest_versioning
+
+echo "== per-window observer, runtimes and SHB test context =="
+# The suites the shared per-window observer leans on, none of which the
+# root `cargo test` runs: observer on/off bit-identity and churn
+# equivalence (harness), both runtimes including live attribution on
+# threads (sim, net), and the SHB sweep and zero-allocation deliver pins
+# driven through `gryphon_sim::testing::RecordingCtx` (core).
+cargo test -q -p gryphon-harness --test golden_determinism --test churn_equivalence
+cargo test -q -p gryphon-sim -p gryphon-net
+cargo test -q -p gryphon --test sweep_props --test zero_alloc_deliver
 
 echo "== full stack with delivery ledger armed =="
 # Debug profile arms the exactly-once ledger (panic on violation), so a
@@ -39,8 +49,8 @@ cargo test -q --test full_stack --test lineage
 # Validates Prometheus text exposition format: every line is a comment
 # (# HELP/# TYPE) or "name{labels} value"; every sample name must trace
 # back to a # TYPE declaration (summaries expose <name>_sum and
-# <name>_count series). Used for both the xp snapshot export and the
-# live mid-run scrape below.
+# <name>_count series). Used for bundle snapshots and the live mid-run
+# scrape below.
 validate_prom() {
   awk '
     /^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* / { if ($2 == "TYPE") typed[$3]=1; next }
@@ -59,9 +69,11 @@ validate_prom() {
 }
 
 echo "== prometheus snapshot parses =="
-rm -rf target/ci-prom
-cargo run -q --release -p gryphon-bench --bin xp -- --quick --prom-out target/ci-prom fig4
-prom="target/ci-prom/fig4.prom"
+# The fig4 bundle's snapshot.prom must pass the exposition grammar.
+rm -rf target/ci-bundles
+xp() { cargo run -q --release -p gryphon-bench --bin xp -- "$@"; }
+xp --quick --bundle-out target/ci-bundles/clean latency fig4
+prom="target/ci-bundles/clean/fig4/snapshot.prom"
 test -s "$prom" || { echo "missing $prom"; exit 1; }
 validate_prom "$prom"
 echo "ok: $(grep -c '^# TYPE' "$prom") metric families in $prom"
@@ -72,9 +84,6 @@ echo "== run bundles and doctor =="
 # counters zero), proves a same-workload different-seed run inside the
 # diff thresholds, and proves the diff gate CAN fail by diffing against
 # a deliberately degraded broker config (--degrade).
-rm -rf target/ci-bundles
-xp() { cargo run -q --release -p gryphon-bench --bin xp -- "$@"; }
-xp --quick --bundle-out target/ci-bundles/clean latency fig4
 xp --quick --bundle-out target/ci-bundles/reseed --seed-offset 1 fig4
 xp --quick --bundle-out target/ci-bundles/degraded --degrade fig4
 for f in manifest.json metrics.csv timeline.ndjson alerts.ndjson snapshot.prom; do
@@ -175,6 +184,8 @@ echo "== live /metrics scrape (mid-run) =="
 # scrape_smoke runs a real threaded pipeline, fetches /metrics over TCP
 # while the net is still running, and prints the body; the same grammar
 # gate applies to the live endpoint as to the snapshot export.
+rm -rf target/ci-prom
+mkdir -p target/ci-prom
 scrape="target/ci-prom/scrape.prom"
 cargo run -q --release -p gryphon-bench --bin scrape_smoke >"$scrape"
 test -s "$scrape" || { echo "missing $scrape"; exit 1; }

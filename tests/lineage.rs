@@ -202,8 +202,9 @@ fn injected_duplicate_trips_ledger_once_and_dumps_flight_recorder() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `xp --flight-dir` plumbing: arming the harness-wide default
-/// flight directory reaches the simulator every topology builds.
+/// The `xp --bundle-out` flight-recorder plumbing: arming the
+/// harness-wide default flight directory reaches the simulator every
+/// topology builds.
 #[test]
 fn default_flight_dir_arms_built_systems() {
     let dir = std::env::temp_dir().join(format!(
